@@ -217,22 +217,16 @@ struct SweepState {
   }
 };
 
-/// Aggregates a freshly completed chunk, snapshots the journal, and fires
-/// the on_checkpoint hook.  Called by exactly one worker per chunk (the one
+/// Aggregates a freshly completed chunk, appends it to the journal, and
+/// fires the on_checkpoint hook — in that order, so a reported checkpoint
+/// is already on disk.  Called by exactly one worker per chunk (the one
 /// whose claim took SweepState::remaining[chunk] to zero).
 void finish_chunk(SweepState& sweep, std::size_t chunk) {
-  auto stats = std::make_unique<TrialStats>(aggregate_chunk(
-      sweep.records, sweep.chunk_first(chunk), sweep.chunk_last(chunk),
-      sweep.config->base_seed));
+  JournalChunk done{chunk, aggregate_chunk(sweep.records, sweep.chunk_first(chunk),
+                                           sweep.chunk_last(chunk), sweep.config->base_seed)};
   const std::lock_guard<std::mutex> lock(sweep.checkpoint_mutex);
-  sweep.chunk_stats[chunk] = std::move(stats);
-  if (sweep.journal != nullptr) {
-    std::vector<JournalChunk> done;
-    for (std::size_t i = 0; i < sweep.num_chunks; ++i) {
-      if (sweep.chunk_stats[i] != nullptr) done.push_back({i, *sweep.chunk_stats[i]});
-    }
-    sweep.journal->save(done);
-  }
+  if (sweep.journal != nullptr) sweep.journal->append(done);
+  sweep.chunk_stats[chunk] = std::make_unique<TrialStats>(std::move(done.stats));
   ++sweep.checkpoints;
   if (sweep.config->on_checkpoint) sweep.config->on_checkpoint(sweep.checkpoints);
 }
@@ -341,26 +335,24 @@ void init_sweep(SweepState& sweep, const TrialConfig& config, bool local,
         compute_request_hash(config, local, sweep.chunk_size, sharded_batch_k);
     sweep.journal = std::make_unique<SweepJournal>(config.journal_path, request, config.trials,
                                                    sweep.chunk_size);
+    std::vector<JournalChunk> resumed;
     if (config.resume) {
       JournalLoadResult loaded = sweep.journal->load();
-      switch (loaded.status) {
-        case JournalLoadResult::Status::kNoFile:
-          break;
-        case JournalLoadResult::Status::kValid:
-          for (JournalChunk& chunk : loaded.chunks) {
-            sweep.resumed_trials +=
-                sweep.chunk_last(chunk.index) - sweep.chunk_first(chunk.index);
-            sweep.chunk_stats[chunk.index] =
-                std::make_unique<TrialStats>(std::move(chunk.stats));
-          }
-          break;
-        case JournalLoadResult::Status::kRejected:
-          // Reject whole, restart from scratch; the final stats still
-          // converge to the uninterrupted run's because every chunk is
-          // recomputed from its seeds.
-          sweep.resume_discarded_reason = std::move(loaded.reason);
-          break;
+      // A rejected journal is discarded whole and the sweep restarts from
+      // scratch; the final stats still converge to the uninterrupted run's
+      // because every chunk is recomputed from its seeds.
+      if (loaded.status == JournalLoadResult::Status::kRejected) {
+        sweep.resume_discarded_reason = std::move(loaded.reason);
       }
+      resumed = std::move(loaded.chunks);  // empty unless kValid
+    }
+    // Publish the header plus every resumed chunk once, atomically and
+    // durably; this also drops a torn tail left by a crash.  From here on
+    // finish_chunk only appends.
+    sweep.journal->save(resumed);
+    for (JournalChunk& chunk : resumed) {
+      sweep.resumed_trials += sweep.chunk_last(chunk.index) - sweep.chunk_first(chunk.index);
+      sweep.chunk_stats[chunk.index] = std::make_unique<TrialStats>(std::move(chunk.stats));
     }
   }
   if (config.budget_seconds > 0.0) {

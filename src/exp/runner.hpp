@@ -103,16 +103,17 @@ struct TrialConfig {
   // run-to-completion semantics exactly. ---
 
   /// Durable checkpoint journal (exp/journal.hpp).  Empty = no journaling.
-  /// The sweep snapshots per-chunk aggregates to this path (atomically:
-  /// write-temp-then-rename) every time a chunk of `checkpoint_interval`
-  /// trials completes.
+  /// The sweep publishes the journal's header (plus any resumed chunks)
+  /// once at start, then appends and fdatasyncs one record every time a
+  /// chunk of `checkpoint_interval` trials completes.
   std::string journal_path;
   /// Load `journal_path` before running and skip every chunk it already
   /// holds.  A journal whose request hash does not match this config (or
-  /// that fails its content checksum) is rejected *whole* — never half
-  /// loaded — and the sweep restarts from scratch, with the reason surfaced
-  /// in TrialStats::resume_discarded_reason.  A resumed sweep's final stats
-  /// are bit-identical to an uninterrupted run's.
+  /// that fails a checksum) is rejected *whole* — never half loaded; only
+  /// a torn final record is dropped — and the sweep restarts from scratch,
+  /// with the reason surfaced in TrialStats::resume_discarded_reason.  A
+  /// resumed sweep's final stats are bit-identical to an uninterrupted
+  /// run's.
   bool resume = false;
   /// Caller-supplied identity of everything the harness cannot see: graph
   /// family + parameters, protocol identity, scenario parameters.  Mixed
@@ -158,9 +159,9 @@ struct TrialConfig {
   /// returns truncated, exactly like budget expiry.
   std::shared_ptr<std::atomic<bool>> stop_request;
   /// Test/observability hook: invoked after every completed chunk (after
-  /// the journal snapshot, when journaling) with the number of chunks
-  /// completed by this invocation so far.  Called under the checkpoint
-  /// lock — keep it cheap and do not call back into the harness.
+  /// its journal record is fdatasync'd, when journaling) with the number
+  /// of chunks completed by this invocation so far.  Called under the
+  /// checkpoint lock — keep it cheap and do not call back into the harness.
   std::function<void(std::size_t chunks_completed)> on_checkpoint;
 };
 

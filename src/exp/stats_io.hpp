@@ -1,9 +1,8 @@
 // Text serialization of harness::TrialStats — the one encoding shared by
 // everything that persists or ships aggregates:
 //
-//   * the sweep journal's per-chunk blocks (exp/journal.cpp) use the
-//     low-level "stats core" encode/decode, byte-identical to the
-//     journal's v1 on-disk format;
+//   * the sweep journal's per-chunk records (exp/journal.cpp) use the
+//     low-level "stats core" encode/decode as their body;
 //   * the beepmisd experiment service (src/svc/) uses the framed
 //     format_trial_stats / parse_trial_stats round trip as both its wire
 //     result payload and its on-disk result-cache entry.
@@ -43,7 +42,7 @@ namespace beepmis::harness::statsio {
 
 // --- the stats core: metric aggregates + accounting -----------------------
 //
-// The journal's chunk-body line group, exactly:
+// The journal's chunk-record body, exactly:
 //
 //   stat <name> <count> <hex16 mean> <hex16 m2> <hex16 min> <hex16 max>  x5
 //   counts <10 integers>

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -16,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/atomic_file.hpp"
 #include "support/hash.hpp"
 
 namespace beepmis::graph {
@@ -81,8 +81,9 @@ class CsrMapping {
   std::size_t length_;
 };
 
-/// Atomic file production: write to a temp name in the target's directory,
-/// fsync, rename over the target, fsync the directory.  The destructor
+/// Atomic file production: stream into a temp name in the target's
+/// directory, then publish it through support::publish_temp_file (fsync,
+/// rename over the target, fsync the directory).  The destructor
 /// unlinks the temp file unless commit() ran, so a throw mid-build leaves
 /// nothing behind under either name.
 class AtomicFileWriter {
@@ -100,16 +101,7 @@ class AtomicFileWriter {
   }
 
   void write(const void* data, std::size_t len) {
-    const char* p = static_cast<const char*>(data);
-    while (len > 0) {
-      const ssize_t wrote = ::write(fd_, p, len);
-      if (wrote < 0) {
-        if (errno == EINTR) continue;
-        fail_errno(path_, "write failed");
-      }
-      p += wrote;
-      len -= static_cast<std::size_t>(wrote);
-    }
+    support::write_all(fd_, std::string_view(static_cast<const char*>(data), len), tmp_path_);
   }
 
   /// Payload bytes fold into the running checksum (raw FNV-1a, the
@@ -125,29 +117,14 @@ class AtomicFileWriter {
   }
 
   /// Seeks back to offset 0, writes the finalised header, and publishes the
-  /// file under its target name.
+  /// file under its target name (support::publish_temp_file).
   void commit(const unsigned char header[kHeaderSize]) {
     if (::lseek(fd_, 0, SEEK_SET) != 0) fail_errno(path_, "seek failed");
     write(header, kHeaderSize);
-    if (::fsync(fd_) != 0) fail_errno(path_, "fsync failed");
-    if (::close(fd_) != 0) {
-      fd_ = -1;
-      fail_errno(path_, "close failed");
-    }
-    fd_ = -1;
-    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-      fail_errno(path_, "rename from " + tmp_path_ + " failed");
-    }
+    const int fd = fd_;
+    fd_ = -1;  // publish_temp_file closes it on every path
+    support::publish_temp_file(fd, tmp_path_, path_);
     committed_ = true;
-    // Durability of the rename itself: fsync the containing directory
-    // (best-effort — some filesystems refuse directory fds).
-    const std::size_t slash = path_.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash + 1);
-    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dir_fd >= 0) {
-      (void)::fsync(dir_fd);
-      ::close(dir_fd);
-    }
   }
 
  private:

@@ -1,7 +1,7 @@
 // Stable (process- and platform-independent) hashing for request keys and
 // file checksums.  std::hash makes no cross-run guarantees, so everything
-// that is persisted — the sweep journal's request hash and its content
-// checksum (see exp/journal.hpp) — goes through this FNV-1a-based hasher
+// that is persisted — the sweep journal's request hash and its record
+// checksums (see exp/journal.hpp) — goes through this FNV-1a-based hasher
 // instead.  The digest for a given update sequence is pinned by tests and
 // must never change: journals written by one build must be readable (or
 // cleanly rejected) by the next.
@@ -33,8 +33,8 @@ class StableHash {
   std::uint64_t state_ = kOffsetBasis;
 };
 
-/// One-shot raw-byte hash (no length prefix): the journal's whole-file
-/// content checksum.
+/// One-shot raw-byte hash (no length prefix): the journal's header and
+/// record checksums.
 [[nodiscard]] std::uint64_t stable_hash_bytes(std::string_view bytes) noexcept;
 
 /// Fixed-width (16 digit) lowercase hex rendering of a 64-bit value; the

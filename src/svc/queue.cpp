@@ -41,14 +41,14 @@ std::optional<std::uint64_t> JobQueue::pop_locked() {
 
 std::optional<std::uint64_t> JobQueue::pop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return shutdown_ || closed_ || total_ > 0; });
+  cv_.wait(lock, [this] { return shutdown_ || (!paused_ && (closed_ || total_ > 0)); });
   if (shutdown_) return std::nullopt;
   return pop_locked();  // nullopt only when closed-and-drained
 }
 
 std::optional<std::uint64_t> JobQueue::try_pop() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (shutdown_) return std::nullopt;
+  if (shutdown_ || paused_) return std::nullopt;
   return pop_locked();
 }
 
@@ -65,6 +65,19 @@ void JobQueue::shutdown_now() {
     const std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
     closed_ = true;
+  }
+  cv_.notify_all();
+}
+
+void JobQueue::pause() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  paused_ = true;
+}
+
+void JobQueue::resume() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    paused_ = false;
   }
   cv_.notify_all();
 }

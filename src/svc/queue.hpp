@@ -14,6 +14,7 @@
 // drain), shutdown_now() makes pop() return nullopt immediately and
 // leaves the queued jobs in place for inspection / durable re-queue
 // (fast stop — beepmisd persists pending requests on disk anyway).
+// pause()/resume() hold and release dispatch without touching the lanes.
 #pragma once
 
 #include <condition_variable>
@@ -48,6 +49,13 @@ class JobQueue {
   /// jobs stay in the lanes (size() still reports them).
   void shutdown_now();
 
+  /// Holds dispatch: while paused, pop() blocks and try_pop() returns
+  /// nullopt even with jobs queued (shutdown_now() still releases pop()).
+  /// Lets a caller queue several jobs and then release them at once, so
+  /// the dispatch order depends only on the push sequence.
+  void pause();
+  void resume();
+
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -68,6 +76,7 @@ class JobQueue {
   std::size_t total_ = 0;
   bool closed_ = false;
   bool shutdown_ = false;
+  bool paused_ = false;
 };
 
 }  // namespace beepmis::svc

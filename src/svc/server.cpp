@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "cli/sweep_spec.hpp"
 #include "exp/stats_io.hpp"
+#include "support/atomic_file.hpp"
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
 
@@ -34,21 +34,6 @@ bool parse_priority(const std::string& token, int& out) {
   if (token.size() != 1 || token[0] < '0' || token[0] > '9') return false;
   out = token[0] - '0';
   return true;
-}
-
-/// Atomic tmp+rename publish, same discipline as SweepJournal::save.
-void write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + tmp + " for writing");
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    if (!out) throw std::runtime_error("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("rename " + tmp + " -> " + path + " failed");
-  }
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -249,6 +234,7 @@ void SweepService::drain() {
   // and its queue_.push after the queue closes.
   const std::lock_guard<std::mutex> lock(registry_m_);
   queue_.close();
+  queue_.resume();  // a paused backlog still has to run to completion
 }
 
 void SweepService::stop() {
@@ -367,7 +353,7 @@ void SweepService::run_job(const std::shared_ptr<Job>& job) {
     // quarantined result must never be served for a resubmission that
     // might complete cleanly under different knobs.
     try {
-      write_file_atomic(result_path(fp), payload);
+      support::atomic_write_file(result_path(fp), payload);
     } catch (const std::exception& e) {
       record_internal_error("result-cache", e.what());
     }
@@ -547,7 +533,7 @@ void SweepService::handle_submit(UnixStream& stream, const std::string& rest) {
         // Durable before runnable: if the pending file cannot be written
         // the request is refused, never half-accepted.
         try {
-          write_file_atomic(pending_path(fingerprint),
+          support::atomic_write_file(pending_path(fingerprint),
                             encode_pending(client, priority, spec_text));
         } catch (const std::exception& e) {
           stream.write_line("error " + escape_text(e.what()));

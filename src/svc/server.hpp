@@ -99,6 +99,13 @@ class SweepService {
   /// Joins all service threads.  Call after drain() or stop().
   void join();
 
+  /// Holds job dispatch: submits are still accepted, made durable and
+  /// acked, but no worker starts a job until resume_dispatch().  Queueing
+  /// under a pause makes the dispatch order a pure function of the submit
+  /// sequence (the fair-share tests rely on it).  drain() releases a pause.
+  void pause_dispatch() { queue_.pause(); }
+  void resume_dispatch() { queue_.resume(); }
+
   /// True once the service is winding down (stop()/drain() finished its
   /// backlog, a `stop`/`drain` verb arrived, or an internal error tore
   /// the listener down) — the daemon's cue to join and exit.

@@ -123,5 +123,33 @@ TEST(JobQueue, BlockingPopWakesOnShutdown) {
   popper.join();
 }
 
+TEST(JobQueue, PauseHoldsDispatchUntilResume) {
+  JobQueue q;
+  q.pause();
+  q.push(1, 0, "a");
+  q.push(2, 0, "a");
+  q.push(3, 0, "b");
+  EXPECT_EQ(q.try_pop(), std::nullopt);
+  EXPECT_EQ(q.size(), 3u);
+  // A popper blocked across the pause sees the full backlog on resume, so
+  // the order is the fair-share order of the whole push sequence.
+  std::vector<std::uint64_t> order;
+  std::thread popper([&] {
+    for (int i = 0; i < 3; ++i) order.push_back(*q.pop());
+  });
+  q.resume();
+  popper.join();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 2}));
+}
+
+TEST(JobQueue, ShutdownReleasesAPausedPop) {
+  JobQueue q;
+  q.pause();
+  q.push(1, 0, "a");
+  std::thread popper([&] { EXPECT_EQ(q.pop(), std::nullopt); });
+  q.shutdown_now();
+  popper.join();
+}
+
 }  // namespace
 }  // namespace beepmis::svc

@@ -1,5 +1,6 @@
 // Crash-safe sweep coverage (src/exp/README.md, "Crash-safe sweeps"):
-// journal round-trip and whole-file rejection, the kill-and-resume
+// journal round-trip, the torn-tail and reject-whole rules, the
+// atomic-publish crash point, the kill-and-resume
 // differential oracle (resumed == one-shot, bit for bit, across thread
 // counts and rng modes), budget truncation, and the chaos harness for
 // per-trial fault isolation (retry, quarantine, cooperative timeout).
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -26,6 +28,7 @@
 #include "mis/local_feedback.hpp"
 #include "mis/verifier.hpp"
 #include "sim/beep.hpp"
+#include "support/atomic_file.hpp"
 #include "support/rng.hpp"
 
 namespace beepmis::harness {
@@ -64,6 +67,16 @@ void expect_stats_bits_equal(const TrialStats& a, const TrialStats& b) {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "beepmis_" + name;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
 }
 
 // --- journal round trip and rejection ------------------------------------
@@ -136,39 +149,28 @@ TEST(SweepJournal, AnyCorruptionRejectsTheWholeJournal) {
   const SweepJournal journal(path, 42, 200, 64);
   journal.save({{1, sample_chunk_stats(3)}});
 
-  std::string body;
-  {
-    std::ifstream in(path, std::ios::binary);
-    body.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  const std::string body = read_bytes(path);
   ASSERT_FALSE(body.empty());
 
-  // Flip one payload byte: the content checksum must catch it.
+  // Flip one payload byte: the record checksum must catch it.
   std::string flipped = body;
   flipped[body.size() / 2] ^= 0x01;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << flipped;
-  }
+  write_bytes(path, flipped);
   JournalLoadResult r = journal.load();
   EXPECT_EQ(r.status, JournalLoadResult::Status::kRejected);
   EXPECT_FALSE(r.reason.empty());
 
-  // Truncate (a torn write): also rejected whole.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << body.substr(0, body.size() / 2);
-  }
+  // Truncate inside the only record (a crash mid-append): the torn tail is
+  // dropped, not rejected — the header survives and resume starts from no
+  // chunks rather than from a discarded journal.
+  write_bytes(path, body.substr(0, body.size() / 2));
   r = journal.load();
-  EXPECT_EQ(r.status, JournalLoadResult::Status::kRejected);
-  EXPECT_FALSE(r.reason.empty());
+  EXPECT_EQ(r.status, JournalLoadResult::Status::kValid) << r.reason;
+  EXPECT_TRUE(r.chunks.empty());
 
   // Restore intact content: a journal keyed to a different request, trial
   // count or chunk geometry is rejected even though the checksum passes.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << body;
-  }
+  write_bytes(path, body);
   EXPECT_EQ(SweepJournal(path, 43, 200, 64).load().status,
             JournalLoadResult::Status::kRejected);
   EXPECT_EQ(SweepJournal(path, 42, 300, 64).load().status,
@@ -176,6 +178,136 @@ TEST(SweepJournal, AnyCorruptionRejectsTheWholeJournal) {
   EXPECT_EQ(SweepJournal(path, 42, 200, 128).load().status,
             JournalLoadResult::Status::kRejected);
   EXPECT_EQ(journal.load().status, JournalLoadResult::Status::kValid);
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, AppendedAndSavedJournalsAreTheSameFormat) {
+  const std::string appended_path = temp_path("journal_appended.txt");
+  const std::string saved_path = temp_path("journal_saved.txt");
+  SweepJournal appended(appended_path, 42, 200, 64);
+  appended.save({{2, sample_chunk_stats(5)}});
+  appended.append({0, sample_chunk_stats(6)});
+  appended.append({1, sample_chunk_stats(7)});
+  const JournalLoadResult loaded = appended.load();
+  ASSERT_EQ(loaded.status, JournalLoadResult::Status::kValid) << loaded.reason;
+  ASSERT_EQ(loaded.chunks.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(loaded.chunks[i].index, i);
+  expect_stats_bits_equal(loaded.chunks[0].stats, sample_chunk_stats(6));
+
+  // Re-saving the loaded chunks is a byte-level reordering of the same
+  // records: identical length, and it loads to the same chunks.
+  SweepJournal saved(saved_path, 42, 200, 64);
+  saved.save(loaded.chunks);
+  EXPECT_EQ(read_bytes(saved_path).size(), read_bytes(appended_path).size());
+  const JournalLoadResult reloaded = saved.load();
+  ASSERT_EQ(reloaded.status, JournalLoadResult::Status::kValid) << reloaded.reason;
+  ASSERT_EQ(reloaded.chunks.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    expect_stats_bits_equal(reloaded.chunks[i].stats, loaded.chunks[i].stats);
+  }
+
+  // save() republishes the file under the append descriptor: later
+  // appends must land in the new file, not the replaced one.
+  appended.save({{0, sample_chunk_stats(6)}});
+  appended.append({3, sample_chunk_stats(8)});
+  const JournalLoadResult after = appended.load();
+  ASSERT_EQ(after.status, JournalLoadResult::Status::kValid) << after.reason;
+  ASSERT_EQ(after.chunks.size(), 2u);
+  EXPECT_EQ(after.chunks[1].index, 3u);
+  std::remove(appended_path.c_str());
+  std::remove(saved_path.c_str());
+}
+
+TEST(SweepJournal, TornTailAtEveryOffsetKeepsEveryEarlierChunk) {
+  const std::string path = temp_path("journal_torn_tail.txt");
+  SweepJournal journal(path, 42, 256, 64);
+  journal.save({{0, sample_chunk_stats(1)}});
+  journal.append({2, sample_chunk_stats(2)});
+  const std::size_t last_record = read_bytes(path).size();
+  journal.append({1, sample_chunk_stats(3)});
+  const std::string body = read_bytes(path);
+  ASSERT_GT(body.size(), last_record);
+
+  for (std::size_t cut = last_record; cut < body.size(); ++cut) {
+    write_bytes(path, body.substr(0, cut));
+    const JournalLoadResult r = journal.load();
+    ASSERT_EQ(r.status, JournalLoadResult::Status::kValid) << "cut at " << cut << ": " << r.reason;
+    ASSERT_EQ(r.chunks.size(), 2u) << "cut at " << cut;
+    EXPECT_EQ(r.chunks[0].index, 0u);
+    EXPECT_EQ(r.chunks[1].index, 2u);
+    expect_stats_bits_equal(r.chunks[1].stats, sample_chunk_stats(2));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, MiddleRecordOrHeaderDamageRejectsTheWholeJournal) {
+  const std::string path = temp_path("journal_middle_flip.txt");
+  SweepJournal journal(path, 42, 256, 64);
+  journal.save({});
+  const std::size_t header_end = read_bytes(path).size();
+  journal.append({0, sample_chunk_stats(1)});
+  const std::size_t middle_begin = read_bytes(path).size();
+  journal.append({1, sample_chunk_stats(2)});
+  const std::size_t middle_end = read_bytes(path).size();
+  journal.append({2, sample_chunk_stats(3)});
+  const std::string body = read_bytes(path);
+
+  // Any flipped byte in a record that has a successor is corruption, not a
+  // torn tail: reject whole.
+  for (std::size_t at = middle_begin; at < middle_end; ++at) {
+    std::string flipped = body;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    write_bytes(path, flipped);
+    const JournalLoadResult r = journal.load();
+    ASSERT_EQ(r.status, JournalLoadResult::Status::kRejected) << "flip at " << at;
+    EXPECT_FALSE(r.reason.empty());
+  }
+  // The header is published once, atomically: a flipped or torn header is
+  // never a crash artefact.
+  for (std::size_t at = 0; at < header_end; ++at) {
+    std::string flipped = body;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    write_bytes(path, flipped);
+    ASSERT_EQ(journal.load().status, JournalLoadResult::Status::kRejected) << "flip at " << at;
+    write_bytes(path, body.substr(0, at));
+    ASSERT_EQ(journal.load().status, JournalLoadResult::Status::kRejected) << "cut at " << at;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, VersionOneJournalIsRejectedByVersion) {
+  const std::string path = temp_path("journal_v1.txt");
+  write_bytes(path,
+              "beepmis-sweep-journal v1\nrequest 000000000000002a\ntrials 256\n"
+              "chunk_size 64\nchecksum 0123456789abcdef\n");
+  const JournalLoadResult r = SweepJournal(path, 42, 256, 64).load();
+  EXPECT_EQ(r.status, JournalLoadResult::Status::kRejected);
+  EXPECT_NE(r.reason.find("v1"), std::string::npos) << r.reason;
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, InterruptedPublishKeepsTheOldJournal) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = temp_path("journal_publish_crash.txt");
+  const std::string tmp = path + ".tmp";
+  std::remove(tmp.c_str());
+  SweepJournal journal(path, 42, 256, 64);
+  journal.save({{0, sample_chunk_stats(1)}});
+  const std::string old_bytes = read_bytes(path);
+
+  // Die after the temp file is written but before the rename.
+  EXPECT_EXIT(support::atomic_write_file(path, "replacement bytes\n", [] { std::_Exit(7); }),
+              ::testing::ExitedWithCode(7), "");
+  EXPECT_EQ(read_bytes(path), old_bytes) << "the old file must stay intact";
+  EXPECT_EQ(read_bytes(tmp), "replacement bytes\n") << "the crash leaves the temp file behind";
+
+  // Readers never look at the leftover, and the next publish replaces it.
+  const JournalLoadResult r = journal.load();
+  ASSERT_EQ(r.status, JournalLoadResult::Status::kValid) << r.reason;
+  ASSERT_EQ(r.chunks.size(), 1u);
+  journal.save({{0, sample_chunk_stats(1)}, {3, sample_chunk_stats(2)}});
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(journal.load().chunks.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -276,6 +408,56 @@ TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
   const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
   EXPECT_EQ(resumed.resumed_trials, partial.trials);
   expect_stats_bits_equal(resumed, one_shot);
+  std::remove(path.c_str());
+}
+
+TEST(Resilience, ResumeAfterTornTailIsBitIdenticalToOneShot) {
+  const std::string path = temp_path("journal_resume_torn.txt");
+  std::remove(path.c_str());
+  const auto config = [] { return sweep_config(2, sim::BatchRngMode::kScalarOrder, false); };
+  const TrialStats one_shot = run_beep_trials(sweep_gnp(), local_feedback(), config());
+
+  TrialConfig interrupted = config();
+  interrupted.journal_path = path;
+  interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
+  interrupted.on_checkpoint = [&interrupted](std::size_t done) {
+    if (done >= 3) interrupted.stop_request->store(true);
+  };
+  (void)run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
+  const std::string body = read_bytes(path);
+  ASSERT_NE(body.rfind("\nchunk "), std::string::npos);
+  const std::size_t last_record = body.rfind("\nchunk ") + 1;
+
+  // A crash mid-append inside the last record: the resumed sweep drops the
+  // torn record, recomputes it, and lands on the one-shot bits.  Sampled
+  // offsets (TornTailAtEveryOffsetKeepsEveryEarlierChunk load-checks every
+  // one).
+  const std::size_t span = body.size() - last_record;
+  for (const std::size_t cut : {last_record, last_record + 1, last_record + span / 2,
+                                body.size() - 1}) {
+    write_bytes(path, body.substr(0, cut));
+    TrialConfig resumed_cfg = config();
+    resumed_cfg.journal_path = path;
+    resumed_cfg.resume = true;
+    std::size_t resumed_checkpoints = 0;
+    resumed_cfg.on_checkpoint = [&resumed_checkpoints](std::size_t done) {
+      resumed_checkpoints = done;
+    };
+    const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
+    EXPECT_TRUE(resumed.resume_discarded_reason.empty()) << resumed.resume_discarded_reason;
+    EXPECT_GT(resumed.resumed_trials, 0u) << "cut at " << cut;
+    EXPECT_EQ(resumed.resumed_trials + 64 * resumed_checkpoints, 640u) << "cut at " << cut;
+    expect_stats_bits_equal(resumed, one_shot);
+
+    // The resume republished the journal without the torn tail: it now
+    // holds every chunk, each exactly once.
+    TrialConfig again = config();
+    again.journal_path = path;
+    again.resume = true;
+    const TrialStats reloaded = run_beep_trials(sweep_gnp(), local_feedback(), again);
+    EXPECT_EQ(reloaded.resumed_trials, 640u);
+    expect_stats_bits_equal(reloaded, one_shot);
+  }
   std::remove(path.c_str());
 }
 

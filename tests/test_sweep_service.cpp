@@ -193,17 +193,14 @@ TEST_F(SweepServiceTest, DuplicateAttachesToInFlightJobAndRepeatsHitCache) {
   service.start();
   const std::string socket = config().socket_path;
 
-  // A filler job occupies the single worker, so the target sweep is
-  // guaranteed still queued (= attachable) when the duplicate arrives.
-  const cli::SweepSpec filler = small_spec(1, /*trials=*/32);
+  // Dispatch is held, so the target sweep is guaranteed still queued
+  // (= attachable) when the duplicate arrives.
+  service.pause_dispatch();
   const cli::SweepSpec target = small_spec(2, /*trials=*/96);
 
-  SweepClient filler_client = SweepClient::connect(socket);
   SweepClient first = SweepClient::connect(socket);
   SweepClient duplicate = SweepClient::connect(socket);
 
-  Event filler_ack = filler_client.submit(cli::format_sweep_spec(filler), 0, "filler");
-  ASSERT_EQ(filler_ack.kind, Event::Kind::kAck);
   Event first_ack = first.submit(cli::format_sweep_spec(target), 0, "alice");
   ASSERT_EQ(first_ack.kind, Event::Kind::kAck);
   EXPECT_EQ(first_ack.ack_mode, "queued");
@@ -211,6 +208,7 @@ TEST_F(SweepServiceTest, DuplicateAttachesToInFlightJobAndRepeatsHitCache) {
   ASSERT_EQ(dup_ack.kind, Event::Kind::kAck);
   EXPECT_EQ(dup_ack.ack_mode, "attached");
   EXPECT_EQ(dup_ack.fingerprint, first_ack.fingerprint);
+  service.resume_dispatch();
 
   const auto pump = [](SweepClient& c) {
     Event e = c.next_event();
@@ -240,7 +238,6 @@ TEST_F(SweepServiceTest, DuplicateAttachesToInFlightJobAndRepeatsHitCache) {
   expect_aggregates_bit_identical(cached.stats, first_result.stats);
   EXPECT_EQ(service.counters().cache_hits, 1u);
 
-  (void)pump(filler_client);
   service.drain();
   service.join();
 }
@@ -282,10 +279,10 @@ TEST_F(SweepServiceTest, FairShareInterleavesClientsInsteadOfStarving) {
   service.start();
   const std::string socket = config().socket_path;
 
-  // Occupy the worker so every later submit lands in the queue.
-  SweepClient blocker = SweepClient::connect(socket);
-  Event blocker_ack = blocker.submit(cli::format_sweep_spec(small_spec(10, 64)), 0, "setup");
-  ASSERT_EQ(blocker_ack.kind, Event::Kind::kAck);
+  // Hold dispatch until every submit below has been acked, so the started
+  // order depends on the submit sequence alone — never on whether a
+  // running sweep happens to finish before the later submits land.
+  service.pause_dispatch();
 
   // Alice floods three sweeps, then Bob asks for one.
   std::vector<std::unique_ptr<SweepClient>> alice;
@@ -300,24 +297,25 @@ TEST_F(SweepServiceTest, FairShareInterleavesClientsInsteadOfStarving) {
   SweepClient bob = SweepClient::connect(socket);
   const Event bob_ack = bob.submit(cli::format_sweep_spec(small_spec(30, 32)), 0, "bob");
   ASSERT_EQ(bob_ack.kind, Event::Kind::kAck);
+  EXPECT_TRUE(service.started_order().empty()) << "a paused service must not dispatch";
+  service.resume_dispatch();
 
   const auto pump = [](SweepClient& c) {
     Event e = c.next_event();
     while (e.kind == Event::Kind::kProgress) e = c.next_event();
     EXPECT_EQ(e.kind, Event::Kind::kResult);
   };
-  pump(blocker);
   for (auto& c : alice) pump(*c);
   pump(bob);
 
-  // Dispatch order: blocker, then alice/bob round-robin — bob's single
-  // request runs right after alice's FIRST job, not after her third.
+  // Dispatch order: alice/bob round-robin — bob's single request runs
+  // right after alice's FIRST job, not after her third.
   const std::vector<std::uint64_t> started = service.started_order();
-  ASSERT_EQ(started.size(), 5u);
-  EXPECT_EQ(started[1], alice_fp[0]);
-  EXPECT_EQ(started[2], bob_ack.fingerprint);
-  EXPECT_EQ(started[3], alice_fp[1]);
-  EXPECT_EQ(started[4], alice_fp[2]);
+  ASSERT_EQ(started.size(), 4u);
+  EXPECT_EQ(started[0], alice_fp[0]);
+  EXPECT_EQ(started[1], bob_ack.fingerprint);
+  EXPECT_EQ(started[2], alice_fp[1]);
+  EXPECT_EQ(started[3], alice_fp[2]);
 
   service.drain();
   service.join();
