@@ -91,8 +91,18 @@ struct TrialRecord {
   std::string error;  ///< final attempt's exception text when quarantined
 };
 
-/// Metric extraction + MIS verification for one finished trial; shared by
-/// the scalar and batched paths so their records are field-identical.
+/// The record fields read off a verification report; shared by both
+/// record builders below so scalar and batched records are field-identical.
+void fill_verified(TrialRecord& rec, const mis::VerificationReport& report) {
+  rec.terminated = report.terminated;
+  rec.mis_size = static_cast<double>(report.mis_size);
+  rec.valid = report.valid();
+  rec.independence_violations = report.independence_violations;
+  rec.uncovered_nodes = report.uncovered_nodes;
+}
+
+/// Metric extraction + MIS verification for one finished scalar or sharded
+/// trial.
 void fill_record(TrialRecord& rec, const graph::Graph& g, const sim::RunResult& result) {
   rec.rounds = static_cast<double>(result.rounds);
   rec.beeps_per_node = result.mean_beeps_per_node();
@@ -100,15 +110,29 @@ void fill_record(TrialRecord& rec, const graph::Graph& g, const sim::RunResult& 
   for (const std::uint32_t b : result.beep_counts) max_beeps = std::max(max_beeps, b);
   rec.max_beeps = static_cast<double>(max_beeps);
   rec.message_bits = static_cast<double>(result.message_bits);
-  rec.terminated = result.terminated;
-
-  const mis::VerificationReport report = mis::verify_mis_run(g, result);
-  rec.mis_size = static_cast<double>(report.mis_size);
-  rec.valid = report.valid();
-  rec.independence_violations = report.independence_violations;
-  rec.uncovered_nodes = report.uncovered_nodes;
+  fill_verified(rec, mis::verify_mis_run(g, result));
   rec.recovery_rounds = result.recovery_rounds;
   rec.unrecovered_disruptions = result.unrecovered_disruptions;
+}
+
+/// The records of one finished batch, trials [first, first + planes.lanes),
+/// from the plane verifier's merged per-lane counts — the same values
+/// fill_record derives from each lane's RunResult.  The mean is exact:
+/// RunResult::mean_beeps_per_node sums uint32 counts in a double, and
+/// every partial sum stays an integer below 2^53, so it equals total / n.
+void fill_batch_records(std::vector<TrialRecord>& records, std::size_t first,
+                        const sim::LanePlanes& planes,
+                        const std::vector<mis::LaneVerification>& lanes) {
+  const graph::NodeId n = planes.node_count();
+  for (unsigned l = 0; l < planes.lanes; ++l) {
+    TrialRecord& rec = records[first + l];
+    rec.rounds = static_cast<double>(planes.lane_rounds[l]);
+    rec.beeps_per_node =
+        n == 0 ? 0.0 : static_cast<double>(lanes[l].total_beeps) / static_cast<double>(n);
+    rec.max_beeps = static_cast<double>(lanes[l].max_beeps);
+    rec.message_bits = 0.0;
+    fill_verified(rec, lanes[l].report);
+  }
 }
 
 // run_workers — the shared worker-pool + exception-capture helper — lives
@@ -524,25 +548,25 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
       const std::size_t last = pending[i].last;
 
       const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-        std::vector<sim::RunResult> results;
+        sim::LanePlanes planes;
         if (config.rng_mode == sim::BatchRngMode::kStatisticalLanes) {
           // One base stream per batch, keyed by the batch's first trial
           // index: lane streams are jump()-partitioned inside the
           // simulator, so records stay deterministic for any thread count
           // (per (base_seed, trials, mode), not per trial seed).
-          results = simulator.run(shared, *protocol, root.child(first).child(1).generator(),
-                                  static_cast<unsigned>(last - first));
+          planes = simulator.run_planes(shared, *protocol,
+                                        root.child(first).child(1).generator(),
+                                        static_cast<unsigned>(last - first));
         } else {
           std::vector<support::Xoshiro256StarStar> rngs;
           rngs.reserve(last - first);
           for (std::size_t trial = first; trial < last; ++trial) {
             rngs.push_back(root.child(trial).child(1).generator());
           }
-          results = simulator.run(shared, *protocol, std::move(rngs));
+          planes = simulator.run_planes(shared, *protocol, std::move(rngs));
         }
-        for (std::size_t trial = first; trial < last; ++trial) {
-          fill_record(sweep.records[trial], shared, results[trial - first]);
-        }
+        fill_batch_records(sweep.records, first, planes,
+                           mis::verify_mis_planes(shared, planes, 0, shared.node_count()));
       });
       for (std::size_t trial = first; trial < last; ++trial) {
         TrialRecord& rec = sweep.records[trial];
@@ -606,12 +630,26 @@ void run_beep_trials_sharded_batched(const graph::Graph& shared,
   for (const Batch& batch : pending) {
     if (sweep.should_stop()) break;
     const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-      const std::vector<sim::RunResult> results =
-          simulator.run(*protocol, root.child(batch.first).child(1).generator(),
-                        static_cast<unsigned>(batch.last - batch.first));
-      for (std::size_t trial = batch.first; trial < batch.last; ++trial) {
-        fill_record(sweep.records[trial], shared, results[trial - batch.first]);
+      const sim::LanePlanes planes =
+          simulator.run_planes(*protocol, root.child(batch.first).child(1).generator(),
+                               static_cast<unsigned>(batch.last - batch.first));
+      // Verification fans out like the run: one worker per shard range.
+      const graph::Partition& partition = simulator.partition();
+      const unsigned k = partition.shard_count();
+      std::vector<std::vector<mis::LaneVerification>> parts(k);
+      std::atomic<unsigned> next_range{0};
+      run_workers(k, k, [&] {
+        for (;;) {
+          const unsigned s = next_range.fetch_add(1);
+          if (s >= k) break;
+          parts[s] = mis::verify_mis_planes(shared, planes, partition.begin(s),
+                                            partition.end(s));
+        }
+      });
+      for (unsigned s = 1; s < k; ++s) {
+        for (unsigned l = 0; l < planes.lanes; ++l) parts[0][l].merge(parts[s][l]);
       }
+      fill_batch_records(sweep.records, batch.first, planes, parts[0]);
     });
     for (std::size_t trial = batch.first; trial < batch.last; ++trial) {
       TrialRecord& rec = sweep.records[trial];
@@ -634,11 +672,12 @@ void run_beep_trials_sharded_batched(const graph::Graph& shared,
 /// kernel, more than one batch of trials, and either an explicit
 /// TrialConfig::shards >= 2 or — in auto mode — at least two threads and
 /// a graph of auto_shard_min_nodes or more.  The auto branch needs the
-/// graph's node count, so it materialises the shared graph once and
-/// repoints `graphs` at the prebuilt copy (the same idiom the scenario
-/// materialisation uses); every downstream path builds trial 0's graph
+/// graph's node count, so it materialises trial 0's shared graph into
+/// `shared` (unless the scenario materialisation already did) and
+/// repoints `graphs` at it; every downstream path builds trial 0's graph
 /// from the identical seed, so the substitution is invisible.
 unsigned resolve_sharded_batch_shards(const GraphFactory*& graphs, GraphFactory& prebuilt,
+                                      std::shared_ptr<const graph::Graph>& shared,
                                       const BeepProtocolFactory& protocols,
                                       const TrialConfig& c) {
   if (c.rng_mode != sim::BatchRngMode::kStatisticalLanes) return 0;
@@ -657,22 +696,20 @@ unsigned resolve_sharded_batch_shards(const GraphFactory*& graphs, GraphFactory&
   // ceiling throw at construction, exactly like the scalar-order sharded
   // path.
   if (c.shards >= 2) return c.shards;
-  auto rng = support::SeedSequence(c.base_seed).child(0).child(0).generator();
-  auto shared = std::make_shared<graph::Graph>((*graphs)(rng));
-  const std::size_t nodes = shared->node_count();
-  prebuilt = [shared = std::move(shared)](support::Xoshiro256StarStar&) { return *shared; };
-  graphs = &prebuilt;
-  if (nodes < c.auto_shard_min_nodes) return 0;
+  if (shared == nullptr) {
+    auto rng = support::SeedSequence(c.base_seed).child(0).child(0).generator();
+    shared = std::make_shared<const graph::Graph>((*graphs)(rng));
+    prebuilt = [shared](support::Xoshiro256StarStar&) { return *shared; };
+    graphs = &prebuilt;
+  }
+  if (shared->node_count() < c.auto_shard_min_nodes) return 0;
   return std::min(threads, sim::ShardedBatchSimulator::kMaxShards);
 }
 
 /// Sharded execution paths (see TrialConfig::shards).  Returns true when a
 /// sharded path ran (filling the sweep state); false = use the
 /// scalar/batched paths.  Both sharded paths draw in scalar order, so
-/// TrialStats are bit-identical to the other execution paths.  The sharded
-/// simulator ignores SimConfig::deadline_ns (its lanes rendezvous on
-/// barriers), so trial timeouts are not enforced on sharded runs — budget
-/// expiry still truncates at trial boundaries.
+/// TrialStats are bit-identical to the other execution paths.
 bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
                              const TrialConfig& config, SweepState& sweep) {
   if (!config.allow_sharded || config.sim.record_trace || config.trials == 0 ||
@@ -686,8 +723,10 @@ bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFacto
     // is single-worker because each run already uses `shards` threads.
     TrialConfig outer = config;
     outer.threads = 1;
-    run_trials_chunked(graphs, outer, sweep, [&](const DeadlinePtr&) {
-      return [simulator = sim::ShardedSimulator(config.shards, config.sim),
+    run_trials_chunked(graphs, outer, sweep, [&](const DeadlinePtr& deadline) {
+      sim::SimConfig sim_config = config.sim;
+      sim_config.deadline_ns = deadline;
+      return [simulator = sim::ShardedSimulator(config.shards, std::move(sim_config)),
               protocol = protocols()](const graph::Graph& g,
                                       support::Xoshiro256StarStar rng) mutable {
         return simulator.run(g, *protocol, rng);
@@ -715,6 +754,8 @@ bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFacto
   const std::unique_ptr<sim::BeepProtocol> protocol = protocols();
   const DeadlinePtr deadline = make_trial_deadline(config);
   TrialRecord& rec = sweep.records[0];
+  sim::SimConfig sim_config = config.sim;
+  sim_config.deadline_ns = deadline;
   const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
     sim::RunResult result;
     if (g.node_count() >= config.auto_shard_min_nodes) {
@@ -722,14 +763,12 @@ bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFacto
       // existed, so clamp to the simulator's shard ceiling (explicit
       // TrialConfig::shards beyond it still throws — that is a request).
       const unsigned k = std::min(threads, sim::ShardedSimulator::kMaxShards);
-      sim::ShardedSimulator simulator(g, k, config.sim);
+      sim::ShardedSimulator simulator(g, k, sim_config);
       result = simulator.run(*protocol, trial_seed.child(1).generator());
     } else {
       // Too small for the per-exchange barriers to pay off — but the graph
       // is already built, so run the lone trial scalar here rather than
       // rebuilding it from the same seed in the generic trial loop.
-      sim::SimConfig sim_config = config.sim;
-      sim_config.deadline_ns = deadline;
       sim::BeepSimulator simulator(g, sim_config);
       result = simulator.run(*protocol, trial_seed.child(1).generator());
     }
@@ -747,20 +786,27 @@ bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFacto
 
 /// The pre-scenario dispatch pipeline: sharded, then batched, then the
 /// scalar trial loop.  Callers route scenario configs before this point —
-/// only a materialised (or absent) scenario may reach it.
-void dispatch_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
-                          const TrialConfig& config, SweepState& sweep,
-                          unsigned sharded_batch_k) {
+/// only a materialised (or absent) scenario may reach it.  `prebuilt` is
+/// trial 0's shared graph when routing already built it (nullptr
+/// otherwise); the lane paths run on it in place instead of a copy.
+void dispatch_beep_trials(const GraphFactory& graphs, const graph::Graph* prebuilt,
+                          const BeepProtocolFactory& protocols, const TrialConfig& config,
+                          SweepState& sweep, unsigned sharded_batch_k) {
+  graph::Graph built;
+  const auto trial0_graph = [&]() -> const graph::Graph& {
+    if (prebuilt != nullptr) return *prebuilt;
+    auto rng = support::SeedSequence(config.base_seed).child(0).child(0).generator();
+    built = graphs(rng);
+    return built;
+  };
   // Sharded-batched path: every core and every lane at once.  Routed
   // before the scalar-order sharded path because statistical mode is an
   // explicit opt-in to a different sample (resolve_sharded_batch_shards
   // gates on it), and its k is already folded into the journal's request
   // hash.
   if (sharded_batch_k > 0) {
-    const support::SeedSequence root(config.base_seed);
-    auto rng = root.child(0).child(0).generator();
-    const graph::Graph shared = graphs(rng);
-    run_beep_trials_sharded_batched(shared, protocols, config, sweep, sharded_batch_k);
+    run_beep_trials_sharded_batched(trial0_graph(), protocols, config, sweep,
+                                    sharded_batch_k);
     return;
   }
   // Sharded path: parallelism *within* one run (TrialConfig::shards).
@@ -785,10 +831,7 @@ void dispatch_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory&
                                       config.sim.run_until_round > 0;
     if ((statistical || !lossy_tail_dominated) &&
         protocols()->make_batch_protocol(config.rng_mode) != nullptr) {
-      const support::SeedSequence root(config.base_seed);
-      auto rng = root.child(0).child(0).generator();
-      const graph::Graph shared = graphs(rng);
-      run_beep_trials_batched(shared, protocols, config, sweep);
+      run_beep_trials_batched(trial0_graph(), protocols, config, sweep);
       return;
     }
   }
@@ -832,7 +875,10 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
   validate_sweep_config(config, "run_beep_trials");
   TrialConfig cfg = config;
   const GraphFactory* effective_graphs = &graphs;
-  GraphFactory materialized_graphs;  // owns the shared graph when we materialise
+  // Trial 0's shared graph, once the scenario materialisation or the
+  // routing probe has built it; effective_graphs then hands out copies.
+  std::shared_ptr<const graph::Graph> shared;
+  GraphFactory prebuilt_graphs;
   std::string fallback;
 
   if (cfg.scenario) {
@@ -850,11 +896,11 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
           // scenario live through the scalar driver.
           const support::SeedSequence root(cfg.base_seed);
           auto rng = root.child(0).child(0).generator();
-          auto shared = std::make_shared<graph::Graph>(graphs(rng));
+          shared = std::make_shared<const graph::Graph>(graphs(rng));
           cfg.sim.crash_round = probe->materialize_crash_rounds(*shared);
           cfg.scenario = nullptr;
-          materialized_graphs = [shared](support::Xoshiro256StarStar&) { return *shared; };
-          effective_graphs = &materialized_graphs;
+          prebuilt_graphs = [shared](support::Xoshiro256StarStar&) { return *shared; };
+          effective_graphs = &prebuilt_graphs;
         } else {
           fallback = "scenario '" + name +
                      "' runs live on the scalar simulator (materialising needs "
@@ -879,11 +925,10 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
   // The sharded-batched routing decision is part of the journal's request
   // key (its shard count changes the statistical sample), so resolve it
   // before the sweep state is initialised.
-  GraphFactory prebuilt_graphs;  // owns the auto-probe's shared graph
   unsigned sharded_batch_k = 0;
   if (!cfg.scenario && !cfg.sim.track_recovery) {
-    sharded_batch_k =
-        resolve_sharded_batch_shards(effective_graphs, prebuilt_graphs, protocols, cfg);
+    sharded_batch_k = resolve_sharded_batch_shards(effective_graphs, prebuilt_graphs, shared,
+                                                   protocols, cfg);
   }
 
   // The request hash keys the journal to the routed config.  The scenario
@@ -894,7 +939,8 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
   init_sweep(sweep, cfg, /*local=*/false, sharded_batch_k);
 
   if (!cfg.scenario && !cfg.sim.track_recovery) {
-    dispatch_beep_trials(*effective_graphs, protocols, cfg, sweep, sharded_batch_k);
+    dispatch_beep_trials(*effective_graphs, shared.get(), protocols, cfg, sweep,
+                         sharded_batch_k);
   } else {
     // Forced-scalar path: each worker owns a private scenario instance
     // (fresh from the factory; BeepSimulator::run resets it every trial).

@@ -1,5 +1,8 @@
 #include "mis/verifier.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,6 +51,84 @@ VerificationReport verify_mis_run(const graph::Graph& g, const sim::RunResult& r
 
 bool is_valid_mis_run(const graph::Graph& g, const sim::RunResult& result) {
   return verify_mis_run(g, result).valid();
+}
+
+void LaneVerification::merge(const LaneVerification& other) noexcept {
+  report.independence_violations += other.report.independence_violations;
+  report.uncovered_nodes += other.report.uncovered_nodes;
+  report.still_active += other.report.still_active;
+  report.crashed += other.report.crashed;
+  report.mis_size += other.report.mis_size;
+  total_beeps += other.total_beeps;
+  max_beeps = std::max(max_beeps, other.max_beeps);
+}
+
+std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
+                                                const sim::LanePlanes& planes,
+                                                graph::NodeId begin, graph::NodeId end) {
+  using sim::LaneMask;
+  const graph::NodeId n = g.node_count();
+  const unsigned lanes = planes.lanes;
+  if (lanes == 0 || lanes > sim::kMaxBatchLanes || planes.node_count() != n ||
+      planes.inmis.size() != n || planes.dominated.size() != n ||
+      planes.beep_counts.size() != static_cast<std::size_t>(n) * lanes) {
+    throw std::invalid_argument("verify_mis_planes: planes do not match the graph");
+  }
+  if (begin > end || end > n) {
+    throw std::invalid_argument("verify_mis_planes: node range out of bounds");
+  }
+  const LaneMask all = lanes == sim::kMaxBatchLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1;
+  // Effective in-MIS lanes of a node: crashed takes precedence.
+  const auto mis_lanes = [&planes](graph::NodeId v) {
+    return planes.inmis[v] & ~planes.crashed[v];
+  };
+
+  // Per-lane tallies in flat arrays; a node adds one per set bit, so the
+  // cost follows the set bits (in a valid run: MIS members only).
+  using Tally = std::array<std::size_t, sim::kMaxBatchLanes>;
+  Tally mis{}, violations{}, uncovered{}, active{}, crashed{};
+  std::array<std::uint64_t, sim::kMaxBatchLanes> total{};
+  std::array<std::uint32_t, sim::kMaxBatchLanes> max{};
+  const auto tally = [](LaneMask m, Tally& per_lane) {
+    for (; m != 0; m &= m - 1) ++per_lane[std::countr_zero(m)];
+  };
+
+  for (graph::NodeId v = begin; v < end; ++v) {
+    const LaneMask cr = planes.crashed[v] & all;
+    const LaneMask im = planes.inmis[v] & ~cr & all;
+    const LaneMask dm = planes.dominated[v] & ~cr & ~im & all;
+    tally(cr, crashed);
+    tally(im, mis);
+    tally(all & ~(cr | im | dm), active);
+    if (im | dm) {
+      LaneMask covered = 0;  // lanes with an MIS neighbour
+      for (const graph::NodeId w : g.neighbors(v)) {
+        const LaneMask mw = mis_lanes(w);
+        covered |= mw;
+        if (w > v) tally(im & mw, violations);
+      }
+      tally(dm & ~covered, uncovered);
+    }
+    const std::uint32_t* counts = &planes.beep_counts[static_cast<std::size_t>(v) * lanes];
+    for (unsigned l = 0; l < lanes; ++l) {
+      total[l] += counts[l];
+      max[l] = std::max(max[l], counts[l]);
+    }
+  }
+
+  std::vector<LaneVerification> out(lanes);
+  for (unsigned l = 0; l < lanes; ++l) {
+    VerificationReport& r = out[l].report;
+    r.terminated = ((planes.terminated >> l) & 1u) != 0;
+    r.independence_violations = violations[l];
+    r.uncovered_nodes = uncovered[l];
+    r.still_active = active[l];
+    r.crashed = crashed[l];
+    r.mis_size = mis[l];
+    out[l].total_beeps = total[l];
+    out[l].max_beeps = max[l];
+  }
+  return out;
 }
 
 std::string VerificationReport::summary() const {

@@ -4,7 +4,9 @@
 // degraded rather than a bare pass/fail.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/result.hpp"
@@ -42,5 +44,32 @@ struct VerificationReport {
 
 /// Shorthand: true iff the run terminated with a valid MIS.
 [[nodiscard]] bool is_valid_mis_run(const graph::Graph& g, const sim::RunResult& result);
+
+/// One lane's share of a plane verification (verify_mis_planes): the
+/// verifier's counts plus the beep reductions the trial harness reports.
+struct LaneVerification {
+  VerificationReport report;
+  std::uint64_t total_beeps = 0;
+  std::uint32_t max_beeps = 0;
+
+  /// Adds another node range's counts.  All counts are integers, so
+  /// merging range results in any order is exact.
+  void merge(const LaneVerification& other) noexcept;
+};
+
+/// Verifies every lane of a finished batched run at once, over the nodes
+/// [begin, end) only: one CSR pass reads the status planes in place (the
+/// precedence crashed, in-MIS, dominated, else active of
+/// sim::extract_lane_results), so no per-lane RunResult is built.  An
+/// independence violation is counted at the edge's lower endpoint, as
+/// verify_mis_run counts it.  Returns one entry per lane; merged over
+/// disjoint ranges covering [0, n), entry l equals verify_mis_run on lane
+/// l's extracted RunResult, and total_beeps / max_beeps equal its
+/// total_beeps and largest beep count.  Throws std::invalid_argument if
+/// the planes do not match the graph or the range is out of bounds.
+[[nodiscard]] std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
+                                                              const sim::LanePlanes& planes,
+                                                              graph::NodeId begin,
+                                                              graph::NodeId end);
 
 }  // namespace beepmis::mis

@@ -11,9 +11,10 @@
 namespace beepmis::sim {
 
 // Plane clearing goes through the shared dirty-list policy in
-// sim/flag_buffer.hpp (templated over the flag value), and the wake/crash
-// loop, lane retirement, plane delivery, and result extraction live in
-// sim/exchange_core.hpp — this file is only the batched *front-end*:
+// sim/flag_buffer.hpp (templated over the flag value), the wake/crash
+// loop, lane retirement and plane delivery live in sim/exchange_core.hpp,
+// and per-lane RunResult extraction in sim/result.cpp — this file is only
+// the batched *front-end*:
 // context wiring, the per-exchange choreography, and the kScalarOrder
 // draw-order paths no other front-end shares.
 
@@ -239,8 +240,8 @@ void BatchSimulator::compact_active() {
   detail::compact_plane_active(active_, in_active_, live_);
 }
 
-std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
-                                           std::vector<support::Xoshiro256StarStar> rngs) {
+LanePlanes BatchSimulator::run_planes(const graph::Graph& g, BatchProtocol& protocol,
+                                      std::vector<support::Xoshiro256StarStar> rngs) {
   if (rng_mode_ != BatchRngMode::kScalarOrder) {
     throw std::logic_error(
         "BatchSimulator: per-lane rng vectors belong to kScalarOrder; a "
@@ -250,9 +251,8 @@ std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol&
   return run_lanes(g, protocol, std::move(rngs));
 }
 
-std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base,
-                                           unsigned lanes) {
+LanePlanes BatchSimulator::run_planes(const graph::Graph& g, BatchProtocol& protocol,
+                                      support::Xoshiro256StarStar base, unsigned lanes) {
   if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
     throw std::logic_error(
         "BatchSimulator: base-seeded runs belong to kStatisticalLanes; a "
@@ -275,9 +275,19 @@ std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol&
   return run_lanes(g, protocol, std::move(rngs));
 }
 
-std::vector<RunResult> BatchSimulator::run_lanes(
-    const graph::Graph& g, BatchProtocol& protocol,
-    std::vector<support::Xoshiro256StarStar> rngs) {
+std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
+                                           std::vector<support::Xoshiro256StarStar> rngs) {
+  return extract_lane_results(run_planes(g, protocol, std::move(rngs)));
+}
+
+std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
+                                           support::Xoshiro256StarStar base,
+                                           unsigned lanes) {
+  return extract_lane_results(run_planes(g, protocol, std::move(base), lanes));
+}
+
+LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& protocol,
+                                     std::vector<support::Xoshiro256StarStar> rngs) {
   BEEPMIS_STM_DECLARE(faults, "batch/faults");
   BEEPMIS_STM_DECLARE(emit, "batch/emit");
   BEEPMIS_STM_DECLARE(deliver, "batch/deliver");
@@ -416,9 +426,8 @@ std::vector<RunResult> BatchSimulator::run_lanes(
     ++round_;
   }
 
-  return detail::extract_lane_results(n, lanes, crashed_, inmis_, dominated_,
-                                      beep_counts_.data(), terminated_,
-                                      lane_rounds_.data(), reactivation_counts_.data());
+  return {crashed_, inmis_, dominated_, beep_counts_, lanes,
+          terminated_, lane_rounds_, reactivation_counts_};
 }
 
 }  // namespace beepmis::sim

@@ -53,8 +53,8 @@
 
 namespace beepmis::sim {
 
-// kMaxBatchLanes and LaneMask live in sim/exchange_core.hpp (included
-// above) alongside the plane half of the exchange engine.
+// kMaxBatchLanes, LaneMask and the LanePlanes result view live in
+// sim/result.hpp (included above) with the other result types.
 
 class BatchSimulator;
 class ShardedBatchSimulator;
@@ -233,10 +233,15 @@ class BatchSimulator {
 
   /// kScalarOrder only (throws std::logic_error otherwise): runs
   /// rngs.size() lanes (1..kMaxBatchLanes) of `protocol` on `g` to
-  /// per-lane termination (or the round cap).  Returns one RunResult per
-  /// lane, bit-identical to scalar BeepSimulator::run(g, scalar_protocol,
-  /// rngs[l]) for every lane l.  The caller must keep `g` alive for the
-  /// duration of the call.
+  /// per-lane termination (or the round cap) and returns the finished
+  /// lane planes, valid until the next run.  Lane l is bit-identical to
+  /// scalar BeepSimulator::run(g, scalar_protocol, rngs[l]).  The caller
+  /// must keep `g` alive for the duration of the call.
+  [[nodiscard]] LanePlanes run_planes(const graph::Graph& g, BatchProtocol& protocol,
+                                      std::vector<support::Xoshiro256StarStar> rngs);
+  LanePlanes run_planes(graph::Graph&&, BatchProtocol&,
+                        std::vector<support::Xoshiro256StarStar>) = delete;
+  /// run_planes, then one RunResult per lane (extract_lane_results).
   [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
                                            std::vector<support::Xoshiro256StarStar> rngs);
   RunResult run(graph::Graph&&, BatchProtocol&,
@@ -248,7 +253,13 @@ class BatchSimulator {
   /// bulk-plane stream — so lane l's stream depends only on (seed, l).
   /// Per-lane results are distributed like independent scalar runs but are
   /// not bit-comparable to any scalar seed; they are deterministic per
-  /// (seed, lane count).
+  /// (seed, lane count).  Returns the finished lane planes, valid until the
+  /// next run.
+  [[nodiscard]] LanePlanes run_planes(const graph::Graph& g, BatchProtocol& protocol,
+                                      support::Xoshiro256StarStar base, unsigned lanes);
+  LanePlanes run_planes(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
+                        unsigned) = delete;
+  /// run_planes, then one RunResult per lane (extract_lane_results).
   [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
                                            support::Xoshiro256StarStar base, unsigned lanes);
   RunResult run(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
@@ -264,9 +275,8 @@ class BatchSimulator {
   void apply_wakeups_and_crashes();
   void deliver_beeps();
   void compact_active();
-  [[nodiscard]] std::vector<RunResult> run_lanes(
-      const graph::Graph& g, BatchProtocol& protocol,
-      std::vector<support::Xoshiro256StarStar> rngs);
+  [[nodiscard]] LanePlanes run_lanes(const graph::Graph& g, BatchProtocol& protocol,
+                                     std::vector<support::Xoshiro256StarStar> rngs);
 
   const graph::Graph* graph_ = nullptr;
   SimConfig config_;

@@ -115,11 +115,10 @@ struct SimConfig {
   /// throws RunCancelled once it is exceeded.  The value is an atomic so a
   /// harness can move the deadline per trial (or per watchdog decision)
   /// without rebuilding the simulator; nullptr (the default) costs one
-  /// pointer test per round.  Honoured by the scalar BeepSimulator and the
-  /// batched BatchSimulator; the sharded simulator ignores it (its lanes
-  /// rendezvous on barriers every exchange — aborting one mid-round is the
-  /// coordinator's job, and the harness bounds sharded sweeps at trial
-  /// boundaries instead).  A protocol that never returns from emit/react
+  /// pointer test per round.  Honoured by every front-end; the sharded
+  /// cores check it on their coordinator at the round boundary, so the run
+  /// ends there and RunCancelled is raised once every shard has left its
+  /// round loop.  A protocol that never returns from emit/react
   /// cannot be cancelled by anything in-process; that is what the
   /// process-level kill-and-resume path (exp/journal.hpp) is for.
   std::shared_ptr<const std::atomic<std::int64_t>> deadline_ns;

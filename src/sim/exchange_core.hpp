@@ -31,18 +31,6 @@
 #include "sim/result.hpp"
 #include "support/rng.hpp"
 
-namespace beepmis::sim {
-
-/// Width of the batched cores' bitplanes: one bit per concurrent trial.
-inline constexpr unsigned kMaxBatchLanes = 64;
-
-/// One bit per lane; bit l belongs to trial lane l.  Defined here (not
-/// batch.hpp) so the plane half of the exchange engine below can operate
-/// on lane planes without depending on the batched front-end.
-using LaneMask = std::uint64_t;
-
-}  // namespace beepmis::sim
-
 namespace beepmis::sim::detail {
 
 // clear_flag_range / clear_flags live in flag_buffer.hpp (included above):
@@ -461,51 +449,6 @@ inline void apply_mis_hear_planes(const std::vector<graph::NodeId>& mis_hear,
     if (!old) heard_dirty.push_back(w);
     heard[w] = old | mis_hear_mask[w];
   }
-}
-
-/// Node-major per-lane RunResult extraction shared by the batched
-/// front-ends: the node-major beep counts and the planes are each read once
-/// sequentially (lane-major order would stride through the count array 64
-/// times).  Per-lane episode totals are the per-node counts summed, so they
-/// are derived here instead of a second scatter increment per episode in
-/// BatchContext::beep.  `reactivation_counts` may be nullptr (no
-/// self-healing bookkeeping).
-inline std::vector<RunResult> extract_lane_results(
-    graph::NodeId n, unsigned lanes, const std::vector<LaneMask>& crashed,
-    const std::vector<LaneMask>& inmis, const std::vector<LaneMask>& dominated,
-    const std::uint32_t* beep_counts, LaneMask terminated, const std::size_t* lane_rounds,
-    const std::uint64_t* reactivation_counts) {
-  std::vector<RunResult> results(lanes);
-  for (unsigned l = 0; l < lanes; ++l) {
-    const LaneMask bit = LaneMask{1} << l;
-    RunResult& r = results[l];
-    r.terminated = (terminated & bit) != 0;
-    r.rounds = lane_rounds[l];
-    r.status.resize(n);
-    r.beep_counts.resize(n);
-    if (reactivation_counts != nullptr) r.reactivations = reactivation_counts[l];
-  }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const LaneMask cr = crashed[v];
-    const LaneMask im = inmis[v];
-    const LaneMask dm = dominated[v];
-    const std::uint32_t* counts = &beep_counts[static_cast<std::size_t>(v) * lanes];
-    for (unsigned l = 0; l < lanes; ++l) {
-      const LaneMask bit = LaneMask{1} << l;
-      NodeStatus s = NodeStatus::kActive;
-      if (cr & bit) {
-        s = NodeStatus::kCrashed;
-      } else if (im & bit) {
-        s = NodeStatus::kInMis;
-      } else if (dm & bit) {
-        s = NodeStatus::kDominated;
-      }
-      results[l].status[v] = s;
-      results[l].beep_counts[v] = counts[l];
-      results[l].total_beeps += counts[l];
-    }
-  }
-  return results;
 }
 
 }  // namespace beepmis::sim::detail

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -54,5 +55,40 @@ struct RunResult {
   /// Mean beeps per node (over all nodes, including non-beepers).
   [[nodiscard]] double mean_beeps_per_node() const;
 };
+
+/// Width of the batched cores' bitplanes: one bit per concurrent trial.
+inline constexpr unsigned kMaxBatchLanes = 64;
+
+/// One bit per lane; bit l belongs to trial lane l.  Defined with the
+/// result types (not in batch.hpp) so the plane half of the exchange
+/// engine and the plane verifier can read lane planes without depending
+/// on the batched front-end.
+using LaneMask = std::uint64_t;
+
+/// Read-only view of a finished batched run (BatchSimulator and
+/// ShardedBatchSimulator::run_planes): the final status planes and the
+/// per-lane aggregates every lane's RunResult is built from.  Lane l's
+/// status of node v follows the precedence crashed, then in-MIS, then
+/// dominated, else active.  The view borrows the simulator's storage and
+/// is valid until its next run or its destruction.
+struct LanePlanes {
+  std::span<const LaneMask> crashed;    ///< one plane per node
+  std::span<const LaneMask> inmis;      ///< one plane per node
+  std::span<const LaneMask> dominated;  ///< one plane per node
+  /// Per-(node, lane) beep episodes, node-major: beep_counts[v * lanes + l].
+  std::span<const std::uint32_t> beep_counts;
+  unsigned lanes = 0;
+  LaneMask terminated = 0;                       ///< lanes that ended with no active node
+  std::span<const std::size_t> lane_rounds;      ///< per lane
+  std::span<const std::uint64_t> reactivations;  ///< per lane
+
+  [[nodiscard]] graph::NodeId node_count() const noexcept {
+    return static_cast<graph::NodeId>(crashed.size());
+  }
+};
+
+/// Materialises one RunResult per lane of `planes`: statuses by the
+/// precedence above, beep counts transposed out of the node-major matrix.
+[[nodiscard]] std::vector<RunResult> extract_lane_results(const LanePlanes& planes);
 
 }  // namespace beepmis::sim

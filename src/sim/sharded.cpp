@@ -228,6 +228,15 @@ void ShardedSimulator::coordinate_round_boundary() {
   }
   first_pass_ = false;
 
+  // Thrown on the coordinator, this ends the run like any parked lane
+  // failure: every lane leaves at the decision barrier and lane 0
+  // rethrows at the common exit.
+  if (config_.deadline_ns != nullptr &&
+      steady_now_ns() > config_.deadline_ns->load(std::memory_order_relaxed)) {
+    throw RunCancelled("ShardedSimulator::run: deadline expired at round " +
+                       std::to_string(round_));
+  }
+
   active_total_ = 0;
   wakeups_pending_ = false;
   for (const Lane& lane : lanes_) {

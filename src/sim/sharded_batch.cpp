@@ -103,6 +103,12 @@ std::vector<RunResult> ShardedBatchSimulator::run(const graph::Graph& g,
 std::vector<RunResult> ShardedBatchSimulator::run(BatchProtocol& protocol,
                                                   support::Xoshiro256StarStar base,
                                                   unsigned lanes) {
+  return extract_lane_results(run_planes(protocol, std::move(base), lanes));
+}
+
+LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
+                                             support::Xoshiro256StarStar base,
+                                             unsigned lanes) {
   if (graph_ == nullptr) {
     throw std::logic_error("ShardedBatchSimulator::run: no graph bound");
   }
@@ -211,9 +217,8 @@ std::vector<RunResult> ShardedBatchSimulator::run(BatchProtocol& protocol,
       reactivation_totals_[l] += shard.reactivation_counts[l];
     }
   }
-  return detail::extract_lane_results(n, lanes, crashed_, inmis_, dominated_,
-                                      beep_counts_.data(), terminated_,
-                                      lane_rounds_.data(), reactivation_totals_.data());
+  return {crashed_, inmis_, dominated_, beep_counts_, lanes,
+          terminated_, lane_rounds_, reactivation_totals_};
 }
 
 void ShardedBatchSimulator::coordinate_round_boundary() {

@@ -86,10 +86,13 @@ class ShardedBatchSimulator {
                                  BatchRngMode rng_mode = BatchRngMode::kStatisticalLanes);
 
   /// Runs `lanes` (1..kMaxBatchLanes) statistical lanes of `protocol` on
-  /// the bound graph to per-lane termination (or the round cap).  Returns
-  /// one RunResult per lane; at shard count 1 the results are
-  /// bit-identical to BatchSimulator's kStatisticalLanes run with the
-  /// same (graph, protocol, base, lanes).
+  /// the bound graph to per-lane termination (or the round cap) and
+  /// returns the finished lane planes, valid until the next run.  At shard
+  /// count 1 they are bit-identical to BatchSimulator's kStatisticalLanes
+  /// run with the same (graph, protocol, base, lanes).
+  [[nodiscard]] LanePlanes run_planes(BatchProtocol& protocol,
+                                      support::Xoshiro256StarStar base, unsigned lanes);
+  /// run_planes, then one RunResult per lane (extract_lane_results).
   [[nodiscard]] std::vector<RunResult> run(BatchProtocol& protocol,
                                            support::Xoshiro256StarStar base, unsigned lanes);
   /// Rebinds to `g` (rebuilding the partition and fault schedules; like

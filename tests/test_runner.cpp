@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "exp/stats_io.hpp"
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
 #include "mis/luby.hpp"
+#include "mis/verifier.hpp"
+#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 
 namespace beepmis::harness {
 namespace {
@@ -161,6 +170,127 @@ TEST(TrialStats, MergeAccumulates) {
   a.merge(b);
   EXPECT_EQ(a.trials, before + b.trials);
   EXPECT_EQ(a.rounds.count(), 8u);
+}
+
+// --- plane-native batch records vs the RunResult path ----------------------
+
+std::string stats_core(const TrialStats& s) {
+  std::ostringstream out;
+  statsio::encode_stats_core(out, s);
+  return out.str();
+}
+
+/// Reference stats for a batched sweep built the way a RunResult consumer
+/// builds them: every batch through the simulator's public run() overload,
+/// each lane's RunResult through verify_mis_run and a max-beep scan,
+/// aggregated one checkpoint chunk at a time and merged in chunk order.
+std::string replay_stats_core(const graph::Graph& g, const TrialConfig& config) {
+  const std::size_t chunk_size = effective_checkpoint_interval(config.checkpoint_interval);
+  const support::SeedSequence root(config.base_seed);
+  mis::LocalFeedbackMis scalar_protocol;
+  const std::unique_ptr<sim::BatchProtocol> protocol =
+      scalar_protocol.make_batch_protocol(config.rng_mode);
+  sim::BatchSimulator batched(config.sim, config.rng_mode);
+  std::unique_ptr<sim::ShardedBatchSimulator> sharded;
+  if (config.shards >= 2) {
+    sharded = std::make_unique<sim::ShardedBatchSimulator>(g, config.shards, config.sim,
+                                                           config.rng_mode);
+  }
+  TrialStats total, chunk;
+  for (std::size_t first = 0; first < config.trials; first += sim::kMaxBatchLanes) {
+    const std::size_t last = std::min(first + sim::kMaxBatchLanes, config.trials);
+    const unsigned lanes = static_cast<unsigned>(last - first);
+    std::vector<sim::RunResult> results;
+    if (sharded) {
+      results = sharded->run(*protocol, root.child(first).child(1).generator(), lanes);
+    } else if (config.rng_mode == sim::BatchRngMode::kStatisticalLanes) {
+      results = batched.run(g, *protocol, root.child(first).child(1).generator(), lanes);
+    } else {
+      std::vector<support::Xoshiro256StarStar> rngs;
+      for (std::size_t t = first; t < last; ++t) {
+        rngs.push_back(root.child(t).child(1).generator());
+      }
+      results = batched.run(g, *protocol, std::move(rngs));
+    }
+    for (const sim::RunResult& r : results) {
+      const mis::VerificationReport report = mis::verify_mis_run(g, r);
+      std::uint32_t max_beeps = 0;
+      for (const std::uint32_t b : r.beep_counts) max_beeps = std::max(max_beeps, b);
+      ++chunk.attempted;
+      ++chunk.trials;
+      chunk.rounds.push(static_cast<double>(r.rounds));
+      chunk.beeps_per_node.push(r.mean_beeps_per_node());
+      chunk.max_beeps_any_node.push(static_cast<double>(max_beeps));
+      chunk.mis_size.push(static_cast<double>(report.mis_size));
+      chunk.message_bits.push(static_cast<double>(r.message_bits));
+      if (r.terminated) ++chunk.terminated;
+      if (report.valid()) ++chunk.valid;
+      chunk.independence_violations += report.independence_violations;
+      chunk.uncovered_nodes += report.uncovered_nodes;
+    }
+    if (last % chunk_size == 0 || last == config.trials) {
+      total.merge(chunk);
+      chunk = TrialStats{};
+    }
+  }
+  return stats_core(total);
+}
+
+TEST(Runner, PlaneRecordsMatchRunResultReplayOnEveryBatchedRoute) {
+  constexpr graph::NodeId kNodes = 300;
+  const GraphFactory gnp = [](support::Xoshiro256StarStar& rng) {
+    return graph::gnp(kNodes, 6.0 / kNodes, rng);
+  };
+  TrialConfig base;
+  base.trials = 130;  // two full batches and a partial one
+  base.base_seed = 0x91a4e;
+  base.threads = 2;
+  base.shared_graph = true;
+  auto graph_rng = support::SeedSequence(base.base_seed).child(0).child(0).generator();
+  const graph::Graph g = gnp(graph_rng);
+
+  // Crashes at rounds 0..3 on a fifth of the nodes give crashed lanes; a
+  // two-round cap leaves lanes unterminated (and so invalid).
+  std::vector<std::uint32_t> crashes(kNodes, std::numeric_limits<std::uint32_t>::max());
+  for (graph::NodeId v = 0; v < kNodes; v += 5) crashes[v] = v % 4;
+  struct Sim {
+    const char* name;
+    sim::SimConfig config;
+  };
+  std::vector<Sim> sims(3);
+  sims[0].name = "default";
+  sims[1].name = "crash_round";
+  sims[1].config.crash_round = crashes;
+  sims[2].name = "max_rounds=2";
+  sims[2].config.max_rounds = 2;
+
+  struct Route {
+    const char* name;
+    sim::BatchRngMode mode;
+    unsigned shards;
+  };
+  const Route routes[] = {
+      {"batched scalar-order", sim::BatchRngMode::kScalarOrder, 1},
+      {"batched statistical", sim::BatchRngMode::kStatisticalLanes, 1},
+      {"sharded-batched k=2", sim::BatchRngMode::kStatisticalLanes, 2},
+      {"sharded-batched k=3", sim::BatchRngMode::kStatisticalLanes, 3},
+  };
+  for (const Sim& s : sims) {
+    for (const Route& route : routes) {
+      TrialConfig config = base;
+      config.sim = s.config;
+      config.rng_mode = route.mode;
+      config.shards = route.shards;
+      const std::string what = std::string(route.name) + " / " + s.name;
+      const TrialStats stats = run_beep_trials(gnp, local_feedback(), config);
+      ASSERT_EQ(stats.trials, 130u) << what;
+      EXPECT_EQ(stats_core(stats), replay_stats_core(g, config)) << what;
+      if (s.config.max_rounds == 2) {
+        EXPECT_LT(stats.terminated, stats.trials) << what;
+        EXPECT_LT(stats.valid, stats.trials) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

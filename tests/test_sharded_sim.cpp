@@ -9,6 +9,7 @@
 // distribution-level validity, not scalar identity).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -457,6 +458,43 @@ TEST(ShardedRunner, UnsupportedProtocolFallsBackToScalar) {
       runner_gnp(40, 4.0),
       [] { return std::make_unique<mis::SelfHealingLocalFeedbackMis>(); }, sharded);
   expect_identical_trial_stats(base, stats, "fallback");
+}
+
+TEST(ShardedSim, ExpiredDeadlineThrowsRunCancelled) {
+  const graph::Graph g = gnp_graph(200, 5.0, 0xdead);
+  for (const unsigned k : {2u, 3u}) {
+    sim::SimConfig config;
+    config.deadline_ns = std::make_shared<std::atomic<std::int64_t>>(0);
+    sim::ShardedSimulator simulator(g, k, config);
+    mis::LocalFeedbackMis protocol;
+    EXPECT_THROW((void)simulator.run(protocol, support::Xoshiro256StarStar(k)),
+                 sim::RunCancelled)
+        << "shards=" << k;
+  }
+}
+
+TEST(ShardedRunner, ExpiredTrialTimeoutQuarantinesEveryTrial) {
+  // shards >= 2 routes every trial through ShardedSimulator, which checks
+  // the worker's armed deadline at round boundaries: a timeout that has
+  // expired before the first boundary cancels every attempt.
+  harness::TrialConfig config;
+  config.trials = 5;
+  config.base_seed = 0x7e11;
+  config.shards = 2;
+  config.trial_timeout_seconds = 1e-9;
+  config.isolate_trial_faults = true;
+  config.max_retries = 1;
+  config.retry_backoff_ms = 0;
+  const harness::TrialStats stats = harness::run_beep_trials(
+      runner_gnp(200, 5.0), [] { return std::make_unique<mis::LocalFeedbackMis>(); },
+      config);
+  EXPECT_EQ(stats.trials, 0u);
+  EXPECT_EQ(stats.quarantined, 5u);
+  ASSERT_EQ(stats.failed_trials.size(), 5u);
+  for (const harness::FailedTrial& f : stats.failed_trials) {
+    EXPECT_EQ(f.attempts, 2u);
+    EXPECT_NE(f.error.find("deadline expired"), std::string::npos) << f.error;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "support/rng.hpp"
 
 namespace beepmis::mis {
 namespace {
@@ -102,6 +107,154 @@ TEST(Verifier, MaximalityRequiresTermination) {
   const VerificationReport report = verify_mis_run(g, r);
   EXPECT_FALSE(report.valid());  // not terminated
   EXPECT_TRUE(report.independent());
+}
+
+// --- plane verifier vs the scalar one -------------------------------------
+
+/// Owning storage behind a sim::LanePlanes view.
+struct PlaneState {
+  unsigned lanes = 0;
+  std::vector<sim::LaneMask> crashed, inmis, dominated;
+  std::vector<std::uint32_t> beep_counts;
+  std::vector<std::size_t> rounds;
+  std::vector<std::uint64_t> reactivations;
+  sim::LaneMask terminated = 0;
+
+  [[nodiscard]] sim::LanePlanes view() const {
+    return {crashed, inmis, dominated, beep_counts, lanes,
+            terminated, rounds, reactivations};
+  }
+};
+
+/// A random final state: per lane a greedy MIS over a random order, then
+/// injected faults — adjacent members (independence violations), members
+/// demoted to dominated (uncovered neighbours), still-active nodes, and
+/// crashed nodes on a few lanes, some with stale in-MIS/dominated bits the
+/// crashed precedence must mask.
+PlaneState random_planes(const graph::Graph& g, unsigned lanes, std::uint64_t seed) {
+  support::Xoshiro256StarStar rng(seed);
+  const graph::NodeId n = g.node_count();
+  PlaneState st;
+  st.lanes = lanes;
+  st.crashed.assign(n, 0);
+  st.inmis.assign(n, 0);
+  st.dominated.assign(n, 0);
+  st.beep_counts.resize(static_cast<std::size_t>(n) * lanes);
+  for (std::uint32_t& b : st.beep_counts) b = static_cast<std::uint32_t>(rng() % 9);
+  st.rounds.resize(lanes);
+  st.reactivations.assign(lanes, 0);
+  std::vector<graph::NodeId> order(n);
+  for (unsigned l = 0; l < lanes; ++l) {
+    const sim::LaneMask bit = sim::LaneMask{1} << l;
+    st.rounds[l] = rng() % 50;
+    if (rng.bernoulli(0.8)) st.terminated |= bit;
+    for (graph::NodeId v = 0; v < n; ++v) order[v] = v;
+    for (graph::NodeId i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng() % i]);
+    }
+    for (const graph::NodeId v : order) {
+      if (st.dominated[v] & bit) continue;
+      st.inmis[v] |= bit;
+      for (const graph::NodeId w : g.neighbors(v)) st.dominated[w] |= bit;
+    }
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (st.inmis[v] & bit) st.dominated[v] &= ~bit;
+    }
+    const bool crash_lane = l % 5 == 2;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const double u = rng.uniform01();
+      if (u < 0.03) {
+        st.inmis[v] |= bit;  // may sit next to another member
+        st.dominated[v] &= ~bit;
+      } else if (u < 0.06) {
+        st.inmis[v] &= ~bit;  // its dominated neighbours may lose cover
+        st.dominated[v] |= bit;
+      } else if (u < 0.08) {
+        st.inmis[v] &= ~bit;
+        st.dominated[v] &= ~bit;  // still active
+      } else if (crash_lane && u < 0.15) {
+        st.crashed[v] |= bit;  // in-MIS / dominated bits left as they were
+      }
+    }
+  }
+  return st;
+}
+
+void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t seed,
+                           const std::vector<graph::NodeId>& cuts, const std::string& what) {
+  const PlaneState st = random_planes(g, lanes, seed);
+  const sim::LanePlanes planes = st.view();
+  std::vector<graph::NodeId> bounds = cuts;
+  bounds.push_back(0);
+  bounds.push_back(g.node_count());
+  std::sort(bounds.begin(), bounds.end());
+  // Merge the ranges last to first: any order must give the same counts.
+  std::vector<LaneVerification> merged(lanes);
+  for (std::size_t i = bounds.size() - 1; i > 0; --i) {
+    const std::vector<LaneVerification> part =
+        verify_mis_planes(g, planes, bounds[i - 1], bounds[i]);
+    ASSERT_EQ(part.size(), lanes) << what;
+    for (unsigned l = 0; l < lanes; ++l) merged[l].merge(part[l]);
+  }
+  const std::vector<sim::RunResult> results = sim::extract_lane_results(planes);
+  std::size_t violations = 0, uncovered = 0, active = 0, crashed = 0;
+  for (unsigned l = 0; l < lanes; ++l) {
+    const VerificationReport want = verify_mis_run(g, results[l]);
+    const VerificationReport& got = merged[l].report;
+    const std::string at = what + " lane " + std::to_string(l);
+    EXPECT_EQ(((st.terminated >> l) & 1u) != 0, want.terminated) << at;
+    EXPECT_EQ(verify_mis_planes(g, planes, 0, 0)[l].report.terminated, want.terminated) << at;
+    EXPECT_EQ(got.mis_size, want.mis_size) << at;
+    EXPECT_EQ(got.independence_violations, want.independence_violations) << at;
+    EXPECT_EQ(got.uncovered_nodes, want.uncovered_nodes) << at;
+    EXPECT_EQ(got.still_active, want.still_active) << at;
+    EXPECT_EQ(got.crashed, want.crashed) << at;
+    EXPECT_EQ(merged[l].total_beeps, results[l].total_beeps) << at;
+    const std::uint32_t max_beeps =
+        *std::max_element(results[l].beep_counts.begin(), results[l].beep_counts.end());
+    EXPECT_EQ(merged[l].max_beeps, max_beeps) << at;
+    violations += want.independence_violations;
+    uncovered += want.uncovered_nodes;
+    active += want.still_active;
+    crashed += want.crashed;
+  }
+  // The injected faults must actually show up, or the test proves nothing.
+  EXPECT_GT(violations, 0u) << what;
+  EXPECT_GT(uncovered, 0u) << what;
+  EXPECT_GT(active, 0u) << what;
+  if (lanes > 2) {
+    EXPECT_GT(crashed, 0u) << what;
+  }
+}
+
+TEST(Verifier, PlaneVerifierMatchesScalarOnGnp) {
+  auto rng = support::Xoshiro256StarStar(0x6e9);
+  const graph::Graph g = graph::gnp(400, 0.02, rng);
+  for (const unsigned lanes : {1u, 37u, 64u}) {
+    expect_matches_scalar(g, lanes, 11 + lanes, {}, "gnp whole lanes=" + std::to_string(lanes));
+    expect_matches_scalar(g, lanes, 23 + lanes, {1, 137, 138, 290, 399},
+                          "gnp split lanes=" + std::to_string(lanes));
+  }
+}
+
+TEST(Verifier, PlaneVerifierMatchesScalarOnGrid) {
+  const graph::Graph g = graph::grid2d(17, 23);
+  for (const unsigned lanes : {1u, 37u, 64u}) {
+    expect_matches_scalar(g, lanes, 31 + lanes, {}, "grid whole lanes=" + std::to_string(lanes));
+    expect_matches_scalar(g, lanes, 47 + lanes, {23, 24, 200, 390},
+                          "grid split lanes=" + std::to_string(lanes));
+  }
+}
+
+TEST(Verifier, PlaneVerifierRejectsMismatchedInput) {
+  const graph::Graph g = graph::path(4);
+  const PlaneState st = random_planes(g, 3, 5);
+  EXPECT_THROW((void)verify_mis_planes(graph::path(5), st.view(), 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)verify_mis_planes(g, st.view(), 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)verify_mis_planes(g, st.view(), 0, 5), std::invalid_argument);
+  sim::LanePlanes wrong_lanes = st.view();
+  wrong_lanes.lanes = 4;  // beep matrix no longer matches
+  EXPECT_THROW((void)verify_mis_planes(g, wrong_lanes, 0, 4), std::invalid_argument);
 }
 
 }  // namespace
