@@ -69,9 +69,14 @@ std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
   using sim::LaneMask;
   const graph::NodeId n = g.node_count();
   const unsigned lanes = planes.lanes;
+  const auto& counters = planes.beep_planes;
   if (lanes == 0 || lanes > sim::kMaxBatchLanes || planes.node_count() != n ||
       planes.inmis.size() != n || planes.dominated.size() != n ||
-      planes.beep_counts.size() != static_cast<std::size_t>(n) * lanes) {
+      planes.lane_rounds.size() != lanes ||
+      (!planes.reactivations.empty() && planes.reactivations.size() != lanes) ||
+      counters.size() > sim::kMaxBeepPlanes ||
+      std::any_of(counters.begin(), counters.end(),
+                  [n](const std::vector<LaneMask>& plane) { return plane.size() != n; })) {
     throw std::invalid_argument("verify_mis_planes: planes do not match the graph");
   }
   if (begin > end || end > n) {
@@ -87,11 +92,16 @@ std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
   // cost follows the set bits (in a valid run: MIS members only).
   using Tally = std::array<std::size_t, sim::kMaxBatchLanes>;
   Tally mis{}, violations{}, uncovered{}, active{}, crashed{};
-  std::array<std::uint64_t, sim::kMaxBatchLanes> total{};
-  std::array<std::uint32_t, sim::kMaxBatchLanes> max{};
   const auto tally = [](LaneMask m, Tally& per_lane) {
     for (; m != 0; m &= m - 1) ++per_lane[std::countr_zero(m)];
   };
+  // Beep reductions stay bit-sliced like the counters: `total` is one
+  // vertical counter (bit l of total[j] is bit j of lane l's sum; plane b
+  // is added at level b, so no per-lane weighting is needed) and `max` is
+  // a running per-lane maximum in the counters' own layout.
+  const std::size_t width = counters.size();
+  std::array<LaneMask, 64> total{};
+  std::array<LaneMask, sim::kMaxBeepPlanes> max{};
 
   for (graph::NodeId v = begin; v < end; ++v) {
     const LaneMask cr = planes.crashed[v] & all;
@@ -109,10 +119,26 @@ std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
       }
       tally(dm & ~covered, uncovered);
     }
-    const std::uint32_t* counts = &planes.beep_counts[static_cast<std::size_t>(v) * lanes];
-    for (unsigned l = 0; l < lanes; ++l) {
-      total[l] += counts[l];
-      max[l] = std::max(max[l], counts[l]);
+    for (std::size_t b = 0; b < width; ++b) {
+      LaneMask carry = counters[b][v] & all;
+      for (std::size_t j = b; carry != 0 && j < total.size(); ++j) {
+        const LaneMask t = total[j];
+        total[j] = t ^ carry;
+        carry &= t;
+      }
+    }
+    // MSB-first compare against the running max: `above` collects lanes
+    // whose count at v is larger, `tied` those equal so far.
+    LaneMask above = 0, tied = all;
+    for (std::size_t b = width; b-- > 0 && tied != 0;) {
+      const LaneMask c = counters[b][v] & all;
+      above |= tied & c & ~max[b];
+      tied &= ~(c ^ max[b]);
+    }
+    if (above != 0) {
+      for (std::size_t b = 0; b < width; ++b) {
+        max[b] = (max[b] & ~above) | (counters[b][v] & above);
+      }
     }
   }
 
@@ -125,8 +151,12 @@ std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
     r.still_active = active[l];
     r.crashed = crashed[l];
     r.mis_size = mis[l];
-    out[l].total_beeps = total[l];
-    out[l].max_beeps = max[l];
+    for (std::size_t j = 0; j < total.size(); ++j) {
+      out[l].total_beeps |= ((total[j] >> l) & 1u) << j;
+    }
+    for (std::size_t b = 0; b < width; ++b) {
+      out[l].max_beeps |= static_cast<std::uint32_t>((max[b] >> l) & 1u) << b;
+    }
   }
   return out;
 }

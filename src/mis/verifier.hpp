@@ -66,7 +66,9 @@ struct LaneVerification {
 /// disjoint ranges covering [0, n), entry l equals verify_mis_run on lane
 /// l's extracted RunResult, and total_beeps / max_beeps equal its
 /// total_beeps and largest beep count.  Throws std::invalid_argument if
-/// the planes do not match the graph or the range is out of bounds.
+/// the planes do not match the graph (a status or counter plane of the
+/// wrong length, more than sim::kMaxBeepPlanes counter planes, per-lane
+/// arrays not sized to `lanes`) or the range is out of bounds.
 [[nodiscard]] std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
                                                               const sim::LanePlanes& planes,
                                                               graph::NodeId begin,

@@ -316,11 +316,12 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
   prev_beepers_.clear();
   heard_dirty_.clear();
   mis_union_.clear();
-  mis_hear_mask_.assign(n, 0);
+  if (config_.mis_keepalive) mis_hear_mask_.assign(n, 0);
   mis_hear_.clear();
   mis_hear_valid_ = false;
   reactivated_.clear();
-  beep_counts_.assign(static_cast<std::size_t>(n) * lanes, 0);
+  beep_planes_.clear();
+  beep_planes_.reserve(kMaxBeepPlanes);
   reactivation_counts_.assign(lanes, 0);
   mis_lists_.resize(lanes);
   for (auto& list : mis_lists_) list.clear();
@@ -351,7 +352,7 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
   ctx.prev_beeped_ = &prev_beeped_;
   ctx.heard_ = &heard_;
   ctx.beepers_ = &beepers_;
-  ctx.beep_counts_ = beep_counts_.data();
+  ctx.beep_planes_ = &beep_planes_;
   ctx.active_count_ = active_count_.data();
   ctx.mis_lists_ = &mis_lists_;
   ctx.mis_joins_ = &mis_union_;
@@ -378,6 +379,7 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
                                   wakeups_pending, active_count_.data(),
                                   lane_rounds_.data(), running_, terminated_);
     if (running_ == 0) break;
+    detail::grow_beep_planes(beep_planes_, round_, exchanges, n);
 
     {
       BEEPMIS_STM_START(faults);
@@ -426,7 +428,7 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
     ++round_;
   }
 
-  return {crashed_, inmis_, dominated_, beep_counts_, lanes,
+  return {crashed_, inmis_, dominated_, beep_planes_, lanes,
           terminated_, lane_rounds_, reactivation_counts_};
 }
 

@@ -174,7 +174,9 @@ class BatchContext {
   const std::vector<LaneMask>* prev_beeped_ = nullptr;
   const std::vector<LaneMask>* heard_ = nullptr;
   std::vector<graph::NodeId>* beepers_ = nullptr;
-  std::uint32_t* beep_counts_ = nullptr;  ///< node-major, lane_count_ stride
+  /// Bit-sliced beep counters (LanePlanes::beep_planes); the front-end
+  /// grows them at round boundaries, shards write only their own rows.
+  std::vector<std::vector<LaneMask>>* beep_planes_ = nullptr;
   std::uint32_t* active_count_ = nullptr;  ///< per-lane, this context's slice
   /// Per-lane live-MIS join-order lists; nullptr when the front-end does
   /// not maintain them (the sharded-batched core is statistical-only, so
@@ -329,8 +331,8 @@ class BatchSimulator {
   std::vector<std::vector<graph::NodeId>> mis_lists_;  ///< per-lane live MIS, join order
   std::vector<std::uint32_t> active_count_;            ///< per-lane |active list|
   std::vector<std::size_t> lane_rounds_;
-  /// Per-(node, lane) beep episodes, node-major: beep_counts_[v * lanes + l].
-  std::vector<std::uint32_t> beep_counts_;
+  /// Bit-sliced per-(node, lane) beep episodes (LanePlanes::beep_planes).
+  std::vector<std::vector<LaneMask>> beep_planes_;
   std::vector<std::uint64_t> reactivation_counts_;  ///< per lane (self-healing)
   LaneMask running_ = 0;     ///< lanes still executing their round loop
   LaneMask terminated_ = 0;  ///< lanes that finished with an empty active set
@@ -381,12 +383,17 @@ inline void BatchContext::beep(graph::NodeId v, LaneMask lanes) {
   if (!plane) beepers_->push_back(v);
   plane |= fresh;
   // Scalar episode rule: a beep continuing from the previous exchange of
-  // the same round is one signal episode, not two.  Per-lane episode
-  // *totals* are derived from these counts at extraction time, so each
-  // episode costs exactly one scatter increment here.
-  std::uint32_t* counts = &beep_counts_[static_cast<std::size_t>(v) * lane_count_];
-  for (LaneMask b = fresh & ~(*prev_beeped_)[v]; b != 0; b &= b - 1) {
-    ++counts[std::countr_zero(b)];
+  // the same round is one signal episode, not two.  Every new episode
+  // adds one to its lane's bit-sliced count: one ripple carry over the
+  // counter planes serves all lanes (~2 expected word ops).  The front-end
+  // grows the planes to the round's bound first, so the carry dies inside
+  // them; past kMaxBeepPlanes it wraps like a uint32 count would.
+  LaneMask carry = fresh & ~(*prev_beeped_)[v];
+  for (std::vector<LaneMask>& counter : *beep_planes_) {
+    if (carry == 0) break;
+    const LaneMask t = counter[v];
+    counter[v] = t ^ carry;
+    carry &= t;
   }
 }
 

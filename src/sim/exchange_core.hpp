@@ -369,6 +369,21 @@ inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round
   }
 }
 
+/// Round-boundary growth of the bit-sliced beep counters
+/// (LanePlanes::beep_planes): a node starts at most one episode per
+/// exchange, so once round `round` ends every count is at most
+/// (round + 1) · exchanges, and that many bits' worth of planes hold it.
+/// Called before the round runs; new planes start zeroed.  Front-ends
+/// reserve kMaxBeepPlanes up front, so growth never moves the outer
+/// vector under a context that points into it.
+inline void grow_beep_planes(std::vector<std::vector<LaneMask>>& planes, std::size_t round,
+                             unsigned exchanges, graph::NodeId n) {
+  const auto bound = static_cast<std::uint64_t>(round + 1) * exchanges;
+  const std::size_t width =
+      std::min<std::size_t>(kMaxBeepPlanes, static_cast<std::size_t>(std::bit_width(bound)));
+  while (planes.size() < width) planes.emplace_back(n, LaneMask{0});
+}
+
 /// Reliable plane delivery: one adjacency pass serves every lane via
 /// OR-accumulation — heard[w] |= beeped[v] is one 8-byte OR where the
 /// scalar core performs up to 64 separate byte stores.  `neighbors_of`

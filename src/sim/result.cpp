@@ -1,5 +1,7 @@
 #include "sim/result.hpp"
 
+#include <bit>
+
 namespace beepmis::sim {
 
 std::vector<graph::NodeId> RunResult::mis() const {
@@ -33,11 +35,12 @@ double RunResult::mean_beeps_per_node() const {
   return total / static_cast<double>(beep_counts.size());
 }
 
-// Node-major: the beep-count matrix and the planes are each read once
-// sequentially (lane-major order would stride through the counts 64 times).
+// Node-major: the status planes are each read once sequentially, and a
+// node's counter words are transposed one set bit at a time.
 std::vector<RunResult> extract_lane_results(const LanePlanes& planes) {
   const graph::NodeId n = planes.node_count();
   const unsigned lanes = planes.lanes;
+  const LaneMask all = lanes >= kMaxBatchLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1;
   std::vector<RunResult> results(lanes);
   for (unsigned l = 0; l < lanes; ++l) {
     RunResult& r = results[l];
@@ -51,7 +54,6 @@ std::vector<RunResult> extract_lane_results(const LanePlanes& planes) {
     const LaneMask cr = planes.crashed[v];
     const LaneMask im = planes.inmis[v];
     const LaneMask dm = planes.dominated[v];
-    const std::uint32_t* counts = &planes.beep_counts[static_cast<std::size_t>(v) * lanes];
     for (unsigned l = 0; l < lanes; ++l) {
       const LaneMask bit = LaneMask{1} << l;
       NodeStatus s = NodeStatus::kActive;
@@ -63,8 +65,14 @@ std::vector<RunResult> extract_lane_results(const LanePlanes& planes) {
         s = NodeStatus::kDominated;
       }
       results[l].status[v] = s;
-      results[l].beep_counts[v] = counts[l];
-      results[l].total_beeps += counts[l];
+    }
+    for (std::size_t b = 0; b < planes.beep_planes.size(); ++b) {
+      const std::uint32_t weight = std::uint32_t{1} << b;
+      for (LaneMask m = planes.beep_planes[b][v] & all; m != 0; m &= m - 1) {
+        RunResult& r = results[static_cast<unsigned>(std::countr_zero(m))];
+        r.beep_counts[v] |= weight;
+        r.total_beeps += weight;
+      }
     }
   }
   return results;

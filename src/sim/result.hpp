@@ -65,6 +65,10 @@ inline constexpr unsigned kMaxBatchLanes = 64;
 /// on the batched front-end.
 using LaneMask = std::uint64_t;
 
+/// Most bit-sliced beep-counter planes a batched run keeps: counts are
+/// uint32 in RunResult, so 32 planes hold any count.
+inline constexpr unsigned kMaxBeepPlanes = 32;
+
 /// Read-only view of a finished batched run (BatchSimulator and
 /// ShardedBatchSimulator::run_planes): the final status planes and the
 /// per-lane aggregates every lane's RunResult is built from.  Lane l's
@@ -75,8 +79,10 @@ struct LanePlanes {
   std::span<const LaneMask> crashed;    ///< one plane per node
   std::span<const LaneMask> inmis;      ///< one plane per node
   std::span<const LaneMask> dominated;  ///< one plane per node
-  /// Per-(node, lane) beep episodes, node-major: beep_counts[v * lanes + l].
-  std::span<const std::uint32_t> beep_counts;
+  /// Bit-sliced per-(node, lane) beep episodes, plane-major: bit l of
+  /// beep_planes[b][v] is bit b of lane l's count at node v; bits above
+  /// the last plane are zero.  At most kMaxBeepPlanes planes of n words.
+  std::span<const std::vector<LaneMask>> beep_planes;
   unsigned lanes = 0;
   LaneMask terminated = 0;                       ///< lanes that ended with no active node
   std::span<const std::size_t> lane_rounds;      ///< per lane
@@ -88,7 +94,7 @@ struct LanePlanes {
 };
 
 /// Materialises one RunResult per lane of `planes`: statuses by the
-/// precedence above, beep counts transposed out of the node-major matrix.
+/// precedence above, beep counts transposed out of the counter planes.
 [[nodiscard]] std::vector<RunResult> extract_lane_results(const LanePlanes& planes);
 
 }  // namespace beepmis::sim

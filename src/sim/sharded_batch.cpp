@@ -131,9 +131,12 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
   in_active_.assign(n, 0);
   in_mis_union_.assign(n, 0);
   mis_union_.clear();
-  mis_mask_.assign(n, 0);
-  mis_hear_mask_.assign(n, 0);
-  beep_counts_.assign(static_cast<std::size_t>(n) * lanes, 0);
+  if (config_.mis_keepalive) {
+    mis_mask_.assign(n, 0);
+    mis_hear_mask_.assign(n, 0);
+  }
+  beep_planes_.clear();
+  beep_planes_.reserve(kMaxBeepPlanes);
   lane_rounds_.assign(lanes, 0);
   global_active_count_.assign(lanes, 0);
   reactivation_totals_.assign(lanes, 0);
@@ -217,7 +220,7 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
       reactivation_totals_[l] += shard.reactivation_counts[l];
     }
   }
-  return {crashed_, inmis_, dominated_, beep_counts_, lanes,
+  return {crashed_, inmis_, dominated_, beep_planes_, lanes,
           terminated_, lane_rounds_, reactivation_totals_};
 }
 
@@ -273,6 +276,9 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
   detail::retire_finished_lanes(round_, config_.run_until_round, config_.max_rounds,
                                 wakeups_pending_, global_active_count_.data(),
                                 lane_rounds_.data(), running_, terminated_);
+  if (running_ != 0) {
+    detail::grow_beep_planes(beep_planes_, round_, exchanges_, graph_->node_count());
+  }
 }
 
 void ShardedBatchSimulator::coordinate_exchange_top(unsigned exchange) {
@@ -388,7 +394,7 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
   ctx.prev_beeped_ = &prev_beeped_;
   ctx.heard_ = &heard_;
   ctx.beepers_ = &shard.beepers;
-  ctx.beep_counts_ = beep_counts_.data();
+  ctx.beep_planes_ = &beep_planes_;
   ctx.active_count_ = shard.active_count.data();
   ctx.mis_lists_ = nullptr;  // statistical-only: nothing consumes join order
   ctx.mis_joins_ = &shard.joined;

@@ -177,14 +177,18 @@ class ShardedBatchSimulator {
   /// Coordinator's snapshot of inmis_ over the union, re-taken whenever
   /// membership changes (joins merged, members crashed): shards read the
   /// snapshot during keep-alive delivery while others are reacting, so
-  /// no shard ever reads a remote in-MIS plane mid-mutation.
+  /// no shard ever reads a remote in-MIS plane mid-mutation.  Allocated
+  /// only with SimConfig::mis_keepalive, like mis_hear_mask_.
   std::vector<LaneMask> mis_mask_;
   /// Shared reliable keep-alive masks, per listener; each shard's
   /// mis_hear list owns the entries in its own range.
   std::vector<LaneMask> mis_hear_mask_;
 
   // Per-(node, lane) and per-lane aggregates.
-  std::vector<std::uint32_t> beep_counts_;  ///< node-major, lane_count_ stride
+  /// Bit-sliced beep counters (LanePlanes::beep_planes): shards write
+  /// their own rows during emit; only the coordinator grows them, between
+  /// barriers, into capacity reserved per run.
+  std::vector<std::vector<LaneMask>> beep_planes_;
   std::vector<std::size_t> lane_rounds_;
   std::vector<std::uint32_t> global_active_count_;   ///< coordinator's per-lane sums
   std::vector<std::uint64_t> reactivation_totals_;   ///< summed over shards

@@ -15,22 +15,10 @@
 
 #include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
-
-// Sanitizer shadow memory (and TSan's history buffers) inflate ru_maxrss by
-// multiples, so the RSS bound only means anything in plain builds.  Under a
-// sanitizer the check degrades to a small smoke of the streaming path —
-// still worth running there, since the chunked scatter buffers are exactly
-// what ASan should be watching.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define BEEPMIS_RSS_CHECK_SANITIZED 1
-#endif
-#endif
-#if !defined(BEEPMIS_RSS_CHECK_SANITIZED) && \
-    (defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__))
-#define BEEPMIS_RSS_CHECK_SANITIZED 1
-#endif
+// Under a sanitizer the check degrades to a small smoke of the streaming
+// path — still worth running there, since the chunked scatter buffers are
+// exactly what ASan should be watching.
+#include "sanitized_build.hpp"
 
 namespace {
 

@@ -115,13 +115,16 @@ TEST(Verifier, MaximalityRequiresTermination) {
 struct PlaneState {
   unsigned lanes = 0;
   std::vector<sim::LaneMask> crashed, inmis, dominated;
+  /// The drawn counts, node-major ([v * lanes + l]); the reference the
+  /// bit-sliced beep_planes below encode.
   std::vector<std::uint32_t> beep_counts;
+  std::vector<std::vector<sim::LaneMask>> beep_planes;
   std::vector<std::size_t> rounds;
   std::vector<std::uint64_t> reactivations;
   sim::LaneMask terminated = 0;
 
   [[nodiscard]] sim::LanePlanes view() const {
-    return {crashed, inmis, dominated, beep_counts, lanes,
+    return {crashed, inmis, dominated, beep_planes, lanes,
             terminated, rounds, reactivations};
   }
 };
@@ -139,8 +142,19 @@ PlaneState random_planes(const graph::Graph& g, unsigned lanes, std::uint64_t se
   st.crashed.assign(n, 0);
   st.inmis.assign(n, 0);
   st.dominated.assign(n, 0);
+  // Counts up to 300 span nine planes, so the bit-sliced totals carry
+  // across planes and the max compare meets ties on high planes.
   st.beep_counts.resize(static_cast<std::size_t>(n) * lanes);
-  for (std::uint32_t& b : st.beep_counts) b = static_cast<std::uint32_t>(rng() % 9);
+  for (std::uint32_t& b : st.beep_counts) b = static_cast<std::uint32_t>(rng() % 301);
+  st.beep_planes.assign(9, std::vector<sim::LaneMask>(n, 0));
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (unsigned l = 0; l < lanes; ++l) {
+      const std::uint32_t count = st.beep_counts[static_cast<std::size_t>(v) * lanes + l];
+      for (unsigned b = 0; b < 9; ++b) {
+        if ((count >> b) & 1u) st.beep_planes[b][v] |= sim::LaneMask{1} << l;
+      }
+    }
+  }
   st.rounds.resize(lanes);
   st.reactivations.assign(lanes, 0);
   std::vector<graph::NodeId> order(n);
@@ -209,10 +223,17 @@ void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t 
     EXPECT_EQ(got.uncovered_nodes, want.uncovered_nodes) << at;
     EXPECT_EQ(got.still_active, want.still_active) << at;
     EXPECT_EQ(got.crashed, want.crashed) << at;
-    EXPECT_EQ(merged[l].total_beeps, results[l].total_beeps) << at;
-    const std::uint32_t max_beeps =
-        *std::max_element(results[l].beep_counts.begin(), results[l].beep_counts.end());
-    EXPECT_EQ(merged[l].max_beeps, max_beeps) << at;
+    std::uint64_t drawn_total = 0;
+    std::uint32_t drawn_max = 0;
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      const std::uint32_t count = st.beep_counts[static_cast<std::size_t>(v) * lanes + l];
+      ASSERT_EQ(results[l].beep_counts[v], count) << at << " node " << v;
+      drawn_total += count;
+      drawn_max = std::max(drawn_max, count);
+    }
+    EXPECT_EQ(results[l].total_beeps, drawn_total) << at;
+    EXPECT_EQ(merged[l].total_beeps, drawn_total) << at;
+    EXPECT_EQ(merged[l].max_beeps, drawn_max) << at;
     violations += want.independence_violations;
     uncovered += want.uncovered_nodes;
     active += want.still_active;
@@ -253,8 +274,24 @@ TEST(Verifier, PlaneVerifierRejectsMismatchedInput) {
   EXPECT_THROW((void)verify_mis_planes(g, st.view(), 3, 2), std::invalid_argument);
   EXPECT_THROW((void)verify_mis_planes(g, st.view(), 0, 5), std::invalid_argument);
   sim::LanePlanes wrong_lanes = st.view();
-  wrong_lanes.lanes = 4;  // beep matrix no longer matches
+  wrong_lanes.lanes = 4;  // per-lane rounds no longer match
   EXPECT_THROW((void)verify_mis_planes(g, wrong_lanes, 0, 4), std::invalid_argument);
+
+  PlaneState short_plane = st;
+  short_plane.beep_planes[3].pop_back();  // one counter plane misses node 3
+  EXPECT_THROW((void)verify_mis_planes(g, short_plane.view(), 0, 4), std::invalid_argument);
+  PlaneState too_wide = st;
+  too_wide.beep_planes.resize(sim::kMaxBeepPlanes + 1, std::vector<sim::LaneMask>(4, 0));
+  EXPECT_THROW((void)verify_mis_planes(g, too_wide.view(), 0, 4), std::invalid_argument);
+  PlaneState few_rounds = st;
+  few_rounds.rounds.pop_back();
+  EXPECT_THROW((void)verify_mis_planes(g, few_rounds.view(), 0, 4), std::invalid_argument);
+  PlaneState few_reactivations = st;
+  few_reactivations.reactivations.pop_back();
+  EXPECT_THROW((void)verify_mis_planes(g, few_reactivations.view(), 0, 4),
+               std::invalid_argument);
+  few_reactivations.reactivations.clear();  // empty: no self-healing counts, fine
+  EXPECT_NO_THROW((void)verify_mis_planes(g, few_reactivations.view(), 0, 4));
 }
 
 }  // namespace
