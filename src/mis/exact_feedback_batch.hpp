@@ -37,6 +37,9 @@ class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
              std::span<support::Xoshiro256StarStar> rngs) override;
   void emit(sim::BatchContext& ctx) override;
   void react(sim::BatchContext& ctx) override;
+  /// Feedback and the announcement outcome read heard only on live
+  /// frontier nodes.
+  [[nodiscard]] bool reads_heard_only_on_live_frontier() const override { return true; }
 
  private:
   sim::BatchRngMode mode_ = sim::BatchRngMode::kScalarOrder;

@@ -32,6 +32,9 @@ class BatchGlobalScheduleMis final : public sim::BatchProtocol {
              std::span<support::Xoshiro256StarStar> rngs) override;
   void emit(sim::BatchContext& ctx) override;
   void react(sim::BatchContext& ctx) override;
+  /// The winner test and the announcement outcome read heard only on live
+  /// frontier nodes.
+  [[nodiscard]] bool reads_heard_only_on_live_frontier() const override { return true; }
 
  private:
   std::shared_ptr<const Schedule> schedule_;

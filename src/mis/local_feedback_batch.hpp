@@ -35,6 +35,9 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
              std::span<support::Xoshiro256StarStar> rngs) override;
   void emit(sim::BatchContext& ctx) override;
   void react(sim::BatchContext& ctx) override;
+  /// Feedback and the announcement outcome read heard only on live
+  /// frontier nodes.
+  [[nodiscard]] bool reads_heard_only_on_live_frontier() const override { return true; }
 
  protected:
   // For maintenance subclasses (the batched mirror of

@@ -34,6 +34,9 @@ class BatchSelfHealingMis final : public BatchLocalFeedbackMis {
   void reset(const graph::Graph& g,
              std::span<support::Xoshiro256StarStar> rngs) override;
   void react(sim::BatchContext& ctx) override;
+  /// heal() reads the heard masks of dominated nodes, which are off the
+  /// frontier, so delivery must push.
+  [[nodiscard]] bool reads_heard_only_on_live_frontier() const override { return false; }
 
  private:
   void heal(sim::BatchContext& ctx);

@@ -146,7 +146,7 @@ void BatchSimulator::apply_wakeups_and_crashes() {
   }
 }
 
-void BatchSimulator::deliver_beeps() {
+void BatchSimulator::deliver_beeps(bool frontier_only_reads) {
   detail::clear_flags(heard_, heard_dirty_);
 
   const bool lossy = config_.beep_loss_probability > 0.0;
@@ -158,8 +158,14 @@ void BatchSimulator::deliver_beeps() {
   }
   const auto full_adjacency = [this](graph::NodeId v) { return graph_->neighbors(v); };
   if (!lossy) {
-    // The batched payoff: one CSR pass serves every lane via OR-accumulation.
-    detail::deliver_planes(beepers_, beeped_, full_adjacency, heard_, heard_dirty_);
+    // The batched payoff: one CSR pass serves every lane via OR-accumulation,
+    // pushed from the beepers or, when they are dense, gathered on the
+    // listener frontier.
+    if (detail::gather_heard(frontier_only_reads, active_.size(), beepers_.size())) {
+      detail::gather_planes(active_, live_, beeped_, full_adjacency, heard_, heard_dirty_);
+    } else {
+      detail::deliver_planes(beepers_, beeped_, full_adjacency, heard_, heard_dirty_);
+    }
     if (config_.mis_keepalive) {
       // Join order is irrelevant on a reliable channel (no draws), so one
       // cached (listener, lane-mask) list — re-derived only when some
@@ -341,6 +347,7 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
   protocol.reset(*graph_, std::span<support::Xoshiro256StarStar>(rngs_));
   const unsigned exchanges = protocol.exchanges_per_round();
   if (exchanges == 0) throw std::logic_error("protocol declares zero exchanges per round");
+  const bool frontier_only_reads = protocol.reads_heard_only_on_live_frontier();
 
   BatchContext ctx;
   ctx.graph_ = graph_;
@@ -404,7 +411,7 @@ LanePlanes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& proto
       BEEPMIS_STM_STOP(emit);
 
       BEEPMIS_STM_START(deliver);
-      deliver_beeps();
+      deliver_beeps(frontier_only_reads);
       BEEPMIS_STM_STOP(deliver);
 
       ctx.phase_ = BatchContext::Phase::kReact;

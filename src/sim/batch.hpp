@@ -223,6 +223,13 @@ class BatchProtocol {
   virtual void emit(BatchContext& ctx) = 0;
   /// Observe heard/beeped planes; request joins/deactivations.
   virtual void react(BatchContext& ctx) = 0;
+  /// Whether react reads heard_mask(v) only for nodes v on the context's
+  /// active_nodes() with a nonzero live_mask(v).  Declaring true lets the
+  /// engine gather heard masks on that frontier when beeps are dense
+  /// (detail::gather_heard); heard masks elsewhere then carry keep-alive
+  /// only.  The conservative default pushes from every beeper, so heard
+  /// is complete on every node.
+  [[nodiscard]] virtual bool reads_heard_only_on_live_frontier() const { return false; }
 };
 
 /// The batched simulator.  One instance may execute many batches (scratch
@@ -275,7 +282,7 @@ class BatchSimulator {
 
   void bind_graph(const graph::Graph& g);
   void apply_wakeups_and_crashes();
-  void deliver_beeps();
+  void deliver_beeps(bool frontier_only_reads);
   void compact_active();
   [[nodiscard]] LanePlanes run_lanes(const graph::Graph& g, BatchProtocol& protocol,
                                      std::vector<support::Xoshiro256StarStar> rngs);

@@ -405,6 +405,47 @@ void deliver_planes(const std::vector<graph::NodeId>& beepers,
   }
 }
 
+/// Direction rule of reliable plane delivery, evaluated per exchange and
+/// per context.  Push (deliver_planes) costs one random read-modify-write
+/// of heard_ per beeper edge; gather (gather_planes) reads each listener's
+/// own adjacency row in order, makes random *reads* of beeped_, and stores
+/// once per listener.  Gather wins once beeps are dense: the measured
+/// crossover at n = 2^20 is |frontier| ≈ 2.2–2.4·|beepers|
+/// (direction-optimizing BFS's push/pull trade; src/sim/README.md), and
+/// at n <= 10^4 the two are within noise.
+/// Gather writes heard only on the live frontier, so it needs a kernel
+/// that reads heard_mask nowhere else
+/// (BatchProtocol::reads_heard_only_on_live_frontier).  Lossy delivery
+/// never gathers: its per-edge draw order is part of the contract, so
+/// callers consult this rule on the reliable channel only.
+[[nodiscard]] constexpr bool gather_heard(bool frontier_only_reads, std::size_t frontier,
+                                          std::size_t beepers) noexcept {
+  return frontier_only_reads && frontier <= 2 * beepers;
+}
+
+/// Reliable plane delivery, listener side: for every live node w on
+/// `frontier`, heard[w] = OR of beeped[u] over u in N(w) — the same mask
+/// deliver_planes leaves there, because adjacency is symmetric.
+/// `neighbors_of` must be the full adjacency (a listener's beeping
+/// neighbours may live in any shard); writes go only to the frontier's
+/// rows, which must be clear on entry (deliver clears heard first), so
+/// each listener costs one store.  Off-frontier and dead-frontier rows
+/// stay clear — callers gate on gather_heard.
+template <typename NeighborsFn>
+void gather_planes(const std::vector<graph::NodeId>& frontier,
+                   const std::vector<LaneMask>& live, const std::vector<LaneMask>& beeped,
+                   NeighborsFn&& neighbors_of, std::vector<LaneMask>& heard,
+                   std::vector<graph::NodeId>& heard_dirty) {
+  for (const graph::NodeId w : frontier) {
+    if (!live[w]) continue;
+    LaneMask m = 0;
+    for (const graph::NodeId u : neighbors_of(w)) m |= beeped[u];
+    if (!m) continue;
+    heard[w] = m;
+    heard_dirty.push_back(w);
+  }
+}
+
 /// Statistical-lanes lossy plane delivery: loss bits for *all* lanes of an
 /// edge come from one bulk Bernoulli plane instead of popcount(avail)
 /// serially dependent per-lane draws.  `mask_of(v)` supplies the beeping

@@ -320,13 +320,23 @@ void ShardedBatchSimulator::deliver_shard(Shard& shard, unsigned s) {
   detail::clear_flag_range(heard_.data(), shard.lo, shard.hi, shard.heard_dirty);
   const auto slice = [this, s](graph::NodeId v) { return partition_.neighbors_in(v, s); };
   if (!lossy_) {
-    // Local beeps first, then each remote shard's boundary beeps, shards
-    // ascending; OR-delivery is idempotent, so the order is free.
-    detail::deliver_planes(shard.beepers, beeped_, slice, heard_, shard.heard_dirty);
-    for (unsigned r = 0; r < shards_.size(); ++r) {
-      if (r == s) continue;
-      detail::deliver_planes(shards_[r].boundary_beepers, beeped_, slice, heard_,
-                             shard.heard_dirty);
+    if (detail::gather_heard(protocol_->reads_heard_only_on_live_frontier(),
+                             shard.active.size(), shard.beepers.size())) {
+      // Dense beeps: gather on this shard's own frontier from the full
+      // adjacency.  The remote beeped_ rows it reads were final at the
+      // emit barrier and are not recycled before the reacts-done barrier.
+      const auto full_adjacency = [this](graph::NodeId v) { return graph_->neighbors(v); };
+      detail::gather_planes(shard.active, live_, beeped_, full_adjacency, heard_,
+                            shard.heard_dirty);
+    } else {
+      // Local beeps first, then each remote shard's boundary beeps, shards
+      // ascending; OR-delivery is idempotent, so the order is free.
+      detail::deliver_planes(shard.beepers, beeped_, slice, heard_, shard.heard_dirty);
+      for (unsigned r = 0; r < shards_.size(); ++r) {
+        if (r == s) continue;
+        detail::deliver_planes(shards_[r].boundary_beepers, beeped_, slice, heard_,
+                               shard.heard_dirty);
+      }
     }
     if (config_.mis_keepalive) {
       if (shard.mis_hear_stale) {

@@ -13,11 +13,13 @@
 //   emit     each shard runs the batched kernel's emit over its slice of
 //            the union active frontier, bulk planes drawn from its own
 //            bulk stream, per-lane draws from its own lane streams;
-//   deliver  listener-partitioned: a shard ORs beeped planes only into
-//            its own heard rows, pulling first from its local beeper
-//            list and then from the other shards' boundary beepers
-//            through the partition's per-shard adjacency slices —
-//            race-free without atomics;
+//   deliver  listener-partitioned: a shard writes only its own heard
+//            rows, either pushing from its local beeper list and then
+//            the other shards' boundary beepers through the partition's
+//            per-shard adjacency slices, or — when beeps are dense
+//            (detail::gather_heard) — gathering each live frontier
+//            node's full neighbourhood from beeped planes that no shard
+//            writes until the reacts are done; race-free without atomics;
 //   react    each shard runs the kernel's react over its own slice
 //            (BatchContext::node_begin/node_end is the shard range);
 //   merge    at round boundaries the coordinator (shard 0) merges
