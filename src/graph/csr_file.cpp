@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -15,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "graph/csr_rows.hpp"
 #include "support/atomic_file.hpp"
 #include "support/hash.hpp"
 
@@ -81,9 +81,10 @@ class CsrMapping {
   std::size_t length_;
 };
 
-/// Atomic file production: stream into a temp name in the target's
-/// directory, then publish it through support::publish_temp_file (fsync,
-/// rename over the target, fsync the directory).  The destructor
+/// Atomic BMCSR production: a zeroed header placeholder, then the payload,
+/// streamed into a temp name in the target's directory; commit() writes the
+/// final header and publishes the file through support::publish_temp_file
+/// (fsync, rename over the target, fsync the directory).  The destructor
 /// unlinks the temp file unless commit() ran, so a throw mid-build leaves
 /// nothing behind under either name.
 class AtomicFileWriter {
@@ -92,6 +93,14 @@ class AtomicFileWriter {
       : path_(std::move(path)), tmp_path_(path_ + ".tmp." + std::to_string(::getpid())) {
     fd_ = ::open(tmp_path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
     if (fd_ < 0) fail_errno(path_, "cannot create temp file " + tmp_path_);
+    const unsigned char placeholder[kHeaderSize] = {};
+    try {
+      write(placeholder, kHeaderSize);
+    } catch (...) {  // no destructor runs for a throwing constructor
+      ::close(fd_);
+      ::unlink(tmp_path_.c_str());
+      throw;
+    }
   }
   AtomicFileWriter(const AtomicFileWriter&) = delete;
   AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
@@ -112,15 +121,19 @@ class AtomicFileWriter {
     payload_hash_.update_bytes(data, len);
   }
 
-  [[nodiscard]] std::uint64_t payload_checksum() const noexcept {
-    return payload_hash_.digest();
-  }
-
-  /// Seeks back to offset 0, writes the finalised header, and publishes the
-  /// file under its target name (support::publish_temp_file).
-  void commit(const unsigned char header[kHeaderSize]) {
+  /// Seeks back to offset 0, writes the header for the payload written
+  /// (its checksum filled in here), and publishes the file under its
+  /// target name (support::publish_temp_file).
+  void commit(bool wide, std::uint64_t node_count, std::uint64_t adjacency_count) {
+    CsrHeader header;
+    header.flags = wide ? kFlagWideOffsets : 0;
+    header.node_count = node_count;
+    header.adjacency_count = adjacency_count;
+    header.payload_checksum = payload_hash_.digest();
+    unsigned char header_bytes[kHeaderSize];
+    header.encode(header_bytes);
     if (::lseek(fd_, 0, SEEK_SET) != 0) fail_errno(path_, "seek failed");
-    write(header, kHeaderSize);
+    write(header_bytes, kHeaderSize);
     const int fd = fd_;
     fd_ = -1;  // publish_temp_file closes it on every path
     support::publish_temp_file(fd, tmp_path_, path_);
@@ -159,9 +172,6 @@ void write_csr_file(const Graph& g, const std::string& path) {
   require_little_endian(path);
   const AdjacencyView view = g.view();
   AtomicFileWriter out(path);
-  unsigned char header_bytes[kHeaderSize] = {};
-  out.write(header_bytes, kHeaderSize);  // placeholder; finalised in commit
-
   const std::uint64_t entries = static_cast<std::uint64_t>(view.node_count) + 1;
   if (view.offsets32 != nullptr) {
     out.write_payload(view.offsets32, entries * sizeof(std::uint32_t));
@@ -175,43 +185,17 @@ void write_csr_file(const Graph& g, const std::string& path) {
   if (view.adjacency_count > 0) {
     out.write_payload(view.adjacency, view.adjacency_count * sizeof(NodeId));
   }
-
-  CsrHeader header;
-  header.flags = view.wide() ? kFlagWideOffsets : 0;
-  header.node_count = view.node_count;
-  header.adjacency_count = view.adjacency_count;
-  header.payload_checksum = out.payload_checksum();
-  header.encode(header_bytes);
-  out.commit(header_bytes);
+  out.commit(view.wide(), view.node_count, view.adjacency_count);
 }
 
-StreamCsrStats write_csr_file_streaming(NodeId node_count, const EdgeStream& stream,
+StreamCsrStats write_csr_file_streaming(NodeId n, const EdgeStream& stream,
                                         const std::string& path,
                                         const StreamCsrOptions& options) {
   require_little_endian(path);
-  const NodeId n = node_count;
-  const auto check_edge = [&](NodeId u, NodeId v) {
-    if (u == v) {
-      throw std::invalid_argument("write_csr_file_streaming: self-loop at node " +
-                                  std::to_string(u));
-    }
-    if (u >= n || v >= n) {
-      throw std::invalid_argument("write_csr_file_streaming: endpoint out of range: " +
-                                  std::to_string(u >= n ? u : v) + " >= n=" +
-                                  std::to_string(n));
-    }
-  };
-
-  // Pass 0: count degrees.  A simple graph caps every degree at n-1, so a
-  // count about to exceed that proves a duplicate edge without waiting for
-  // the sorted-chunk check.
+  // Pass 0: count degrees (fill_rows rejects duplicates in sorted rows).
   std::vector<std::uint32_t> degree(n, 0);
   stream([&](NodeId u, NodeId v) {
-    check_edge(u, v);
-    if (degree[u] >= n - 1 || degree[v] >= n - 1) {
-      throw std::invalid_argument(
-          "write_csr_file_streaming: duplicate edges (a node exceeds degree n-1)");
-    }
+    detail::check_edge(n, u, v);
     ++degree[u];
     ++degree[v];
   });
@@ -222,49 +206,30 @@ StreamCsrStats write_csr_file_streaming(NodeId node_count, const EdgeStream& str
       options.force_wide_offsets || total > std::numeric_limits<std::uint32_t>::max();
 
   // Offsets (exclusive prefix sums of the degrees), in the on-disk width.
+  AtomicFileWriter out(path);
   std::vector<std::uint32_t> offsets32;
   std::vector<std::uint64_t> offsets64;
-  if (wide) {
-    offsets64.resize(static_cast<std::size_t>(n) + 1);
-    std::uint64_t acc = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      offsets64[v] = acc;
-      acc += degree[v];
-    }
-    offsets64[n] = acc;
-  } else {
-    offsets32.resize(static_cast<std::size_t>(n) + 1);
-    std::uint32_t acc = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      offsets32[v] = acc;
-      acc += degree[v];
-    }
-    offsets32[n] = acc;
-  }
-  degree.clear();
-  degree.shrink_to_fit();
-  const auto off = [&](NodeId i) -> std::uint64_t {
-    return wide ? offsets64[i] : offsets32[i];
+  const auto prefix_sum = [&](auto& offsets) {
+    offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (NodeId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + degree[v];
+    out.write_payload(offsets.data(), offsets.size() * sizeof(offsets[0]));
   };
-
-  AtomicFileWriter out(path);
-  unsigned char header_bytes[kHeaderSize] = {};
-  out.write(header_bytes, kHeaderSize);
   if (wide) {
-    out.write_payload(offsets64.data(), offsets64.size() * sizeof(std::uint64_t));
+    prefix_sum(offsets64);
   } else {
-    out.write_payload(offsets32.data(), offsets32.size() * sizeof(std::uint32_t));
+    prefix_sum(offsets32);
   }
+  std::vector<std::uint32_t>().swap(degree);  // release before the fill passes
+  const auto off = [&](NodeId i) -> std::uint64_t { return wide ? offsets64[i] : offsets32[i]; };
 
-  // Fill passes: node-range chunks whose adjacency slots + scatter cursors
-  // fit the memory budget (a single node may exceed it alone and gets an
-  // over-budget chunk to itself); each chunk replays the stream, scatters
-  // its own slots, sorts each node's slice and appends sequentially.
-  StreamCsrStats stats;
-  stats.adjacency_count = total;
-  stats.stream_passes = 1;
+  // Fill passes: node-range chunks whose adjacency slots + row bounds fit
+  // the memory budget (a single node may exceed it alone and gets an
+  // over-budget chunk to itself); each chunk replays the stream through
+  // detail::fill_rows (scatter + per-row sort, replay and duplicate checks)
+  // and appends sequentially.
+  StreamCsrStats stats{total, 1};
   std::vector<NodeId> buf;
-  std::vector<std::uint32_t> cursor;  // per-chunk-node fill position, chunk-relative
+  std::vector<std::uint32_t> bound;  // chunk-relative fill_rows bounds
   NodeId lo = 0;
   while (lo < n) {
     NodeId hi = lo + 1;
@@ -274,56 +239,22 @@ StreamCsrStats write_csr_file_streaming(NodeId node_count, const EdgeStream& str
     };
     while (hi < n && chunk_cost(hi + 1) <= options.memory_budget_bytes) ++hi;
     const std::uint64_t base = off(lo);
-    const auto slots = static_cast<std::size_t>(off(hi) - base);
-    buf.resize(slots);
-    cursor.resize(hi - lo);
-    for (NodeId v = lo; v < hi; ++v) {
-      cursor[v - lo] = static_cast<std::uint32_t>(off(v) - base);
-    }
-    const auto scatter = [&](NodeId owner, NodeId neighbor) {
-      if (owner < lo || owner >= hi) return;
-      std::uint32_t& cur = cursor[owner - lo];
-      if (cur >= off(owner + 1) - base) {
-        throw std::invalid_argument(
-            "write_csr_file_streaming: stream did not replay identically "
-            "(node " + std::to_string(owner) + " grew a neighbour)");
-      }
-      buf[cur++] = neighbor;
-    };
-    stream([&](NodeId u, NodeId v) {
-      check_edge(u, v);
-      scatter(u, v);
-      scatter(v, u);
-    });
-    for (NodeId v = lo; v < hi; ++v) {
-      const auto begin = static_cast<std::size_t>(off(v) - base);
-      const auto end = static_cast<std::size_t>(off(v + 1) - base);
-      if (cursor[v - lo] != end) {
-        throw std::invalid_argument(
-            "write_csr_file_streaming: stream did not replay identically "
-            "(node " + std::to_string(v) + " lost a neighbour)");
-      }
-      std::sort(buf.begin() + static_cast<std::ptrdiff_t>(begin),
-                buf.begin() + static_cast<std::ptrdiff_t>(end));
-      for (std::size_t i = begin + 1; i < end; ++i) {
-        if (buf[i] == buf[i - 1]) {
-          throw std::invalid_argument("write_csr_file_streaming: duplicate edge " +
-                                      std::to_string(v) + "-" + std::to_string(buf[i]));
-        }
-      }
-    }
-    out.write_payload(buf.data(), slots * sizeof(NodeId));
+    const auto row_end = [&](NodeId v) { return static_cast<std::uint32_t>(off(v + 1) - base); };
+    buf.resize(static_cast<std::size_t>(off(hi) - base));
+    bound.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    for (NodeId v = lo + 1; v < hi; ++v) bound[v - lo + 1] = row_end(v - 1);
+    detail::fill_rows(lo, hi, bound.data(), buf.data(), [&](const auto& add) {
+      stream([&](NodeId u, NodeId v) {
+        detail::check_edge(n, u, v);
+        add(u, v);
+      });
+    }, row_end);
+    out.write_payload(buf.data(), buf.size() * sizeof(NodeId));
     ++stats.stream_passes;
     lo = hi;
   }
 
-  CsrHeader header;
-  header.flags = wide ? kFlagWideOffsets : 0;
-  header.node_count = n;
-  header.adjacency_count = total;
-  header.payload_checksum = out.payload_checksum();
-  header.encode(header_bytes);
-  out.commit(header_bytes);
+  out.commit(wide, n, total);
   return stats;
 }
 

@@ -156,6 +156,12 @@ Graph build_from_emitter(NodeId n, Emit&& emit) {
   return builder.build();
 }
 
+/// `total` as a NodeId; throws when it does not fit.
+NodeId checked_node_count(const char* who, std::uint64_t total) {
+  if (total > 0xffffffffULL) throw std::invalid_argument(std::string(who) + ": too many nodes");
+  return static_cast<NodeId>(total);
+}
+
 void check_probability(const char* who, double p) {
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument(std::string(who) + ": p must be in [0, 1]");
@@ -179,9 +185,7 @@ NodeId clique_family_node_count(NodeId max_clique, NodeId copies) {
   // Total nodes: copies * (1 + 2 + ... + max_clique).
   const std::uint64_t per_copy_set =
       static_cast<std::uint64_t>(max_clique) * (static_cast<std::uint64_t>(max_clique) + 1) / 2;
-  const std::uint64_t total = per_copy_set * copies;
-  if (total > 0xffffffffULL) throw std::invalid_argument("clique_family: too many nodes");
-  return static_cast<NodeId>(total);
+  return checked_node_count("clique_family", per_copy_set * copies);
 }
 
 Graph clique_family(NodeId max_clique, NodeId copies) {
@@ -196,17 +200,13 @@ Graph clique_family_for_n(NodeId n) {
 }
 
 Graph grid2d(NodeId rows, NodeId cols) {
-  const std::uint64_t total = static_cast<std::uint64_t>(rows) * cols;
-  if (total > 0xffffffffULL) throw std::invalid_argument("grid2d: too many nodes");
-  return build_from_emitter(static_cast<NodeId>(total),
-                            [&](auto&& sink) { emit_grid2d_edges(rows, cols, sink); });
+  const NodeId total = checked_node_count("grid2d", std::uint64_t{rows} * cols);
+  return build_from_emitter(total, [&](auto&& sink) { emit_grid2d_edges(rows, cols, sink); });
 }
 
 Graph hex_grid(NodeId rows, NodeId cols) {
-  const std::uint64_t total = static_cast<std::uint64_t>(rows) * cols;
-  if (total > 0xffffffffULL) throw std::invalid_argument("hex_grid: too many nodes");
-  return build_from_emitter(static_cast<NodeId>(total),
-                            [&](auto&& sink) { emit_hex_grid_edges(rows, cols, sink); });
+  const NodeId total = checked_node_count("hex_grid", std::uint64_t{rows} * cols);
+  return build_from_emitter(total, [&](auto&& sink) { emit_hex_grid_edges(rows, cols, sink); });
 }
 
 Graph ring(NodeId n) {
@@ -319,10 +319,9 @@ Graph random_bipartite(NodeId left, NodeId right, double p,
 }
 
 Graph caterpillar(NodeId spine, NodeId legs_per_node) {
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(spine) * (1 + static_cast<std::uint64_t>(legs_per_node));
-  if (total > 0xffffffffULL) throw std::invalid_argument("caterpillar: too many nodes");
-  return build_from_emitter(static_cast<NodeId>(total), [&](auto&& sink) {
+  const NodeId total =
+      checked_node_count("caterpillar", std::uint64_t{spine} * (1 + std::uint64_t{legs_per_node}));
+  return build_from_emitter(total, [&](auto&& sink) {
     emit_caterpillar_edges(spine, legs_per_node, sink);
   });
 }
@@ -359,16 +358,12 @@ EdgeStream star_edge_stream(NodeId n) {
 }
 
 EdgeStream grid2d_edge_stream(NodeId rows, NodeId cols) {
-  if (static_cast<std::uint64_t>(rows) * cols > 0xffffffffULL) {
-    throw std::invalid_argument("grid2d: too many nodes");
-  }
+  (void)checked_node_count("grid2d", std::uint64_t{rows} * cols);
   return [rows, cols](const EdgeEmitter& emit) { emit_grid2d_edges(rows, cols, emit); };
 }
 
 EdgeStream hex_grid_edge_stream(NodeId rows, NodeId cols) {
-  if (static_cast<std::uint64_t>(rows) * cols > 0xffffffffULL) {
-    throw std::invalid_argument("hex_grid: too many nodes");
-  }
+  (void)checked_node_count("hex_grid", std::uint64_t{rows} * cols);
   return [rows, cols](const EdgeEmitter& emit) { emit_hex_grid_edges(rows, cols, emit); };
 }
 
@@ -385,10 +380,8 @@ EdgeStream clique_family_edge_stream(NodeId max_clique, NodeId copies) {
 }
 
 EdgeStream caterpillar_edge_stream(NodeId spine, NodeId legs_per_node) {
-  if (static_cast<std::uint64_t>(spine) * (1 + static_cast<std::uint64_t>(legs_per_node)) >
-      0xffffffffULL) {
-    throw std::invalid_argument("caterpillar: too many nodes");
-  }
+  (void)checked_node_count("caterpillar",
+                           std::uint64_t{spine} * (1 + std::uint64_t{legs_per_node}));
   return [spine, legs_per_node](const EdgeEmitter& emit) {
     emit_caterpillar_edges(spine, legs_per_node, emit);
   };

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
+
+#include "graph/csr_rows.hpp"
 
 namespace beepmis::graph {
 
@@ -67,47 +70,50 @@ std::string Graph::describe() const {
 }
 
 GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
-  if (u == v) throw std::invalid_argument("GraphBuilder: self-loops are not allowed");
-  if (u >= node_count_ || v >= node_count_) {
-    throw std::invalid_argument("GraphBuilder: endpoint out of range");
-  }
+  detail::check_edge(node_count_, u, v);
   edges_.push_back(canonical({u, v}));
   return *this;
 }
 
-Graph GraphBuilder::build() const {
-  std::vector<Edge> sorted = edges_;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+namespace {
 
-  // Compute offsets in 64 bits, then narrow to the 32-bit representation
-  // unless the adjacency array is too large for it.
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(node_count_) + 1, 0);
-  for (const Edge& e : sorted) {
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
+/// Counting-sort CSR over `edges` in offset width Index; returns the n+1
+/// offsets and fills `adjacency`.  Degrees land two places right, so after
+/// the prefix sum offsets[v + 1] is row v's first slot, as fill_rows wants.
+template <class Index>
+std::vector<Index> counting_sort_csr(NodeId n, const std::vector<Edge>& edges,
+                                     std::vector<NodeId>& adjacency) {
+  std::vector<Index> offsets(static_cast<std::size_t>(n) + 2, 0);
+  for (const Edge& e : edges) {
+    ++offsets[std::size_t{e.u} + 2];
+    ++offsets[std::size_t{e.v} + 2];
   }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  adjacency.resize(offsets.back());
+  detail::fill_rows(NodeId{0}, n, offsets.data(), adjacency.data(), [&](const auto& add) {
+    for (const Edge& e : edges) add(e.u, e.v);
+  });
+  offsets.pop_back();
+  adjacency.resize(offsets.back());
+  adjacency.shrink_to_fit();  // a no-op unless duplicates merged
+  return offsets;
+}
 
+}  // namespace
+
+Graph GraphBuilder::build() const {
+  // Built in the width the pre-merge slot count needs, stored in the merged one.
+  constexpr std::size_t kNarrow = std::numeric_limits<std::uint32_t>::max();
   Graph g;
   g.node_count_ = node_count_;
-  g.adjacency_.resize(sorted.size() * 2);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : sorted) {
-    g.adjacency_[cursor[e.u]++] = e.v;
-    g.adjacency_[cursor[e.v]++] = e.u;
-  }
-  // Adjacency lists are already sorted because edges were processed in
-  // canonical sorted order for the lower endpoint, but the higher endpoint's
-  // list may interleave; sort each list to guarantee the invariant.
-  for (NodeId v = 0; v < node_count_; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              g.adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-  }
-  if (g.adjacency_.size() <= std::numeric_limits<std::uint32_t>::max()) {
-    g.offsets_.assign(offsets.begin(), offsets.end());
+  if (2 * edges_.size() <= kNarrow) {
+    g.offsets_ = counting_sort_csr<std::uint32_t>(node_count_, edges_, g.adjacency_);
   } else {
-    g.wide_offsets_ = std::move(offsets);
+    g.wide_offsets_ = counting_sort_csr<std::size_t>(node_count_, edges_, g.adjacency_);
+    if (g.adjacency_.size() <= kNarrow) {
+      g.offsets_.assign(g.wide_offsets_.begin(), g.wide_offsets_.end());
+      std::vector<std::size_t>().swap(g.wide_offsets_);
+    }
   }
   return g;
 }

@@ -160,7 +160,11 @@ class Graph {
 /// Mutable edge accumulator that produces an immutable Graph.
 ///
 /// Self-loops are rejected (throw); duplicate edges are merged silently so
-/// generators can add edges without bookkeeping.
+/// generators can add edges without bookkeeping.  build() is a counting
+/// sort, O(n + m) plus one sort per row: a degree pass, a prefix sum, then
+/// the scatter/row-finish core it shares with write_csr_file_streaming
+/// (graph/csr_rows.hpp), which merges duplicates here and rejects them
+/// there.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId node_count) : node_count_(node_count) {}

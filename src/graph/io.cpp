@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -33,10 +34,11 @@ bool parse_node_token(const std::string& token, NodeId& out) {
 
 /// Shared strict scanner behind read_edge_list and edge_list_file_stream:
 /// validates the header and every edge line (naming the 1-based line
-/// number in every error), forwards edges to `on_edge`, returns the node
-/// count.
-template <typename EdgeFn>
-NodeId scan_edge_list(std::istream& in, EdgeFn&& on_edge) {
+/// number in every error), passes the node count to `on_header` (which
+/// returns whether to go on) and then each edge to `on_edge`, and returns
+/// the node count.
+template <typename HeaderFn, typename EdgeFn>
+NodeId scan_edge_list(std::istream& in, HeaderFn&& on_header, EdgeFn&& on_edge) {
   std::string line;
   std::string token;
   std::vector<std::string> tokens;
@@ -64,6 +66,7 @@ NodeId scan_edge_list(std::istream& in, EdgeFn&& on_edge) {
         parse_fail(line_number, "bad node count '" + tokens[1] + "'");
       }
       have_header = true;
+      if (!on_header(n)) return n;
       continue;
     }
 
@@ -105,45 +108,30 @@ void write_edge_list(std::ostream& out, const Graph& g) {
 }
 
 Graph read_edge_list(std::istream& in) {
-  std::vector<Edge> edges;
-  const NodeId n = scan_edge_list(in, [&edges](NodeId u, NodeId v) {
-    edges.push_back({u, v});
-  });
-  GraphBuilder builder(n);
-  for (const Edge& e : edges) builder.add_edge(e.u, e.v);
-  return builder.build();
+  std::optional<GraphBuilder> builder;
+  scan_edge_list(
+      in, [&builder](NodeId n) {
+        builder.emplace(n);
+        return true;
+      },
+      [&builder](NodeId u, NodeId v) { builder->add_edge(u, v); });
+  return builder->build();
 }
 
 NodeId read_edge_list_node_count(const std::string& path) {
   auto in = open_text_file(path);
-  std::string line;
-  std::string token;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    while (ls >> token) tokens.push_back(token);
-    if (tokens.empty()) continue;
-    if (tokens[0] != "n") {
-      parse_fail(line_number, "expected 'n <count>' header before any edges");
-    }
-    if (tokens.size() != 2) parse_fail(line_number, "header must be exactly 'n <count>'");
-    NodeId n = 0;
-    if (!parse_node_token(tokens[1], n)) {
-      parse_fail(line_number, "bad node count '" + tokens[1] + "'");
-    }
-    return n;
+  try {
+    return scan_edge_list(in, [](NodeId) { return false; }, [](NodeId, NodeId) {});
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + " (" + path + ")");
   }
-  throw std::runtime_error("read_edge_list: " + path + ": missing 'n <count>' header");
 }
 
 EdgeStream edge_list_file_stream(const std::string& path) {
   (void)read_edge_list_node_count(path);  // surface open/header errors now
   return [path](const EdgeEmitter& emit) {
     auto in = open_text_file(path);
-    scan_edge_list(in, [&emit](NodeId u, NodeId v) { emit(u, v); });
+    scan_edge_list(in, [](NodeId) { return true; }, [&emit](NodeId u, NodeId v) { emit(u, v); });
   };
 }
 

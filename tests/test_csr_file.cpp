@@ -411,5 +411,47 @@ TEST(CsrFileStreaming, RejectsStreamsThatDoNotReplayIdentically) {
   }
 }
 
+TEST(CsrFileStreaming, RejectionsFireFromTheSharedRowCore) {
+  // Each rejection must come from the counting-sort row core it shares with
+  // GraphBuilder::build, in whichever fill chunk the bad row lands, not
+  // only from the degree pass's n-1 cap.
+  const std::string path = tmp_path("row_core_rejections.bmcsr");
+  const auto expect_rejection = [&](const EdgeStream& stream, std::size_t budget,
+                                    const std::string& cause) {
+    StreamCsrOptions opts;
+    opts.memory_budget_bytes = budget;
+    try {
+      (void)write_csr_file_streaming(8, stream, path, opts);
+      ADD_FAILURE() << "accepted; expected " << cause;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(cause), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(path)) << cause;
+  };
+  for (const std::size_t budget : {std::size_t{64} << 20, std::size_t{16}}) {
+    expect_rejection(
+        [](const EdgeEmitter& emit) {
+          emit(0, 1);
+          emit(6, 7);
+          emit(7, 6);
+        },
+        budget, "duplicate edge 6-7");
+    auto grow = std::make_shared<unsigned>(0);
+    expect_rejection(
+        [grow](const EdgeEmitter& emit) {
+          emit(5, 6);
+          if ((*grow)++ > 0) emit(6, 7);
+        },
+        budget, "grew a neighbour");
+    auto lose = std::make_shared<unsigned>(0);
+    expect_rejection(
+        [lose](const EdgeEmitter& emit) {
+          emit(0, 1);
+          if ((*lose)++ == 0) emit(6, 7);
+        },
+        budget, "lost a neighbour");
+  }
+}
+
 }  // namespace
 }  // namespace beepmis::graph

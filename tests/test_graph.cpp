@@ -2,10 +2,156 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "cli/registry.hpp"
+#include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "support/rng.hpp"
 
 namespace beepmis::graph {
 namespace {
+
+/// The comparison-sort build GraphBuilder::build used before its counting
+/// sort, kept as the oracle: canonical edges, one global sort + unique,
+/// degree prefix sum, scatter through a cursor copy, then per-row sorts.
+struct ReferenceCsr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> adjacency;
+};
+ReferenceCsr reference_build(NodeId n, std::vector<Edge> edges) {
+  for (Edge& e : edges) e = canonical(e);
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  ReferenceCsr ref;
+  ref.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : edges) {
+    ++ref.offsets[e.u + 1];
+    ++ref.offsets[e.v + 1];
+  }
+  for (std::size_t i = 1; i < ref.offsets.size(); ++i) ref.offsets[i] += ref.offsets[i - 1];
+  std::vector<std::uint64_t> cursor(ref.offsets.begin(), ref.offsets.end() - 1);
+  ref.adjacency.resize(edges.size() * 2);
+  for (const Edge& e : edges) {
+    ref.adjacency[cursor[e.u]++] = e.v;
+    ref.adjacency[cursor[e.v]++] = e.u;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    std::sort(ref.adjacency.begin() + static_cast<std::ptrdiff_t>(ref.offsets[v]),
+              ref.adjacency.begin() + static_cast<std::ptrdiff_t>(ref.offsets[v + 1]));
+  }
+  return ref;
+}
+
+/// Feeds `edges` (any orientation, repeats allowed) to a GraphBuilder and
+/// requires the built CSR to equal the reference element by element.
+void expect_builds_like_reference(NodeId n, const std::vector<Edge>& edges,
+                                  const std::string& what) {
+  GraphBuilder builder(n);
+  for (const Edge& e : edges) builder.add_edge(e.u, e.v);
+  const Graph g = builder.build();
+  const ReferenceCsr ref = reference_build(n, edges);
+  const AdjacencyView view = g.view();
+  ASSERT_EQ(view.node_count, n) << what;
+  ASSERT_FALSE(view.wide()) << what;
+  for (NodeId v = 0; v <= n; ++v) ASSERT_EQ(view.offset(v), ref.offsets[v]) << what << " v=" << v;
+  ASSERT_EQ(view.adjacency_count, ref.adjacency.size()) << what;
+  EXPECT_TRUE(std::equal(ref.adjacency.begin(), ref.adjacency.end(), view.adjacency)) << what;
+}
+
+/// `edges` plus a repeat of every third edge in flipped orientation and of
+/// every fifth in its own, shuffled: the multigraph a generator may emit.
+std::vector<Edge> with_repeats(std::vector<Edge> edges, support::Xoshiro256StarStar& rng) {
+  const std::size_t m = edges.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i % 3 == 0) edges.push_back({edges[i].v, edges[i].u});
+    if (i % 5 == 0) edges.push_back(edges[i]);
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) std::swap(edges[i - 1], edges[rng.below(i)]);
+  return edges;
+}
+
+TEST(CountingSortBuild, MatchesSortReferenceOnRandomMultigraphs) {
+  support::Xoshiro256StarStar rng(16);
+  for (const NodeId n : {NodeId{3}, NodeId{17}, NodeId{200}, NodeId{1000}}) {
+    for (const std::size_t m : {std::size_t{0}, std::size_t{n / 4}, std::size_t{4 * n}}) {
+      std::vector<Edge> edges;
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto u = static_cast<NodeId>(rng.below(n));
+        const auto v = static_cast<NodeId>(rng.below(n - 1));
+        edges.push_back({u, v < u ? v : v + 1});  // any orientation, never a loop
+      }
+      expect_builds_like_reference(n, with_repeats(edges, rng),
+                                   "n=" + std::to_string(n) + " m=" + std::to_string(m));
+    }
+  }
+}
+
+TEST(CountingSortBuild, MatchesSortReferenceOnTinyGraphs) {
+  expect_builds_like_reference(0, {}, "n=0");
+  expect_builds_like_reference(1, {}, "n=1");
+  expect_builds_like_reference(2, {}, "n=2 edgeless");
+  expect_builds_like_reference(2, {{1, 0}, {0, 1}, {1, 0}}, "n=2 repeated edge");
+  // Isolated nodes at both ends and between the rows that fill.
+  expect_builds_like_reference(9, {{4, 2}, {2, 6}, {6, 4}, {2, 4}}, "isolated nodes");
+}
+
+TEST(CountingSortBuild, MatchesSortReferenceOnEveryFamily) {
+  // family="file" reads edge-list text through read_edge_list's builder.
+  const std::string text_path = ::testing::TempDir() + "counting_sort_family_" +
+                                std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream out(text_path);
+    write_edge_list(out, ring(32));
+  }
+  support::Xoshiro256StarStar rng(7);
+  for (const std::string& family : cli::graph_families()) {
+    cli::GraphSpec spec;
+    spec.family = family;
+    spec.n = 64;
+    spec.p = family == "geometric" ? 0.3 : 0.2;
+    spec.rows = 6;
+    spec.cols = 7;
+    spec.k = 3;
+    spec.path = text_path;
+    const Graph g = cli::make_graph(spec);
+    const std::vector<Edge> edges = g.edges();
+    // The family's own build is canonical, and a rebuild from its edges with
+    // repeats in both orientations is the same CSR.
+    const ReferenceCsr ref = reference_build(g.node_count(), edges);
+    ASSERT_EQ(g.adjacency_size(), ref.adjacency.size()) << family;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      ASSERT_TRUE(std::equal(g.neighbors(v).begin(), g.neighbors(v).end(),
+                             ref.adjacency.begin() + static_cast<std::ptrdiff_t>(ref.offsets[v]),
+                             ref.adjacency.begin() + static_cast<std::ptrdiff_t>(ref.offsets[v + 1])))
+          << family << " v=" << v;
+    }
+    expect_builds_like_reference(g.node_count(), with_repeats(edges, rng), family);
+  }
+  std::remove(text_path.c_str());
+}
+
+TEST(GraphBuilder, ReusableWithPendingEdgesPreserved) {
+  GraphBuilder b(4);
+  b.add_edge(0, 1).add_edge(2, 1).add_edge(1, 0);
+  const Graph first = b.build();
+  EXPECT_EQ(b.pending_edges(), 3u);  // build() consumes nothing
+  const Graph again = b.build();
+  EXPECT_EQ(again.edges(), first.edges());
+  b.add_edge(3, 0);
+  const Graph second = b.build();
+  EXPECT_EQ(b.pending_edges(), 4u);
+  EXPECT_EQ(first.edges(), (std::vector<Edge>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(second.edges(), (std::vector<Edge>{{0, 1}, {0, 3}, {1, 2}}));
+}
 
 TEST(GraphBuilder, EmptyGraph) {
   const Graph g = GraphBuilder(0).build();
