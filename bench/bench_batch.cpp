@@ -58,7 +58,7 @@
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
 #include "mis/verifier.hpp"
-#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 #include "sim/beep.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"

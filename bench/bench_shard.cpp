@@ -285,8 +285,8 @@ int main(int argc, char** argv) {
         const double ms = timed(reps, phase, [&] {
           (void)sb_sim.run(*kernel, support::Xoshiro256StarStar(seed), lanes);
         });
-        std::size_t cut = 0, boundary = 0;
-        partition_stats(sb_sim.partition(), cut, boundary);
+        std::size_t cut = 0, boundary = 0;  // one shard builds no partition
+        if (k > 1) partition_stats(sb_sim.partition(), cut, boundary);
         record(workload, "sharded-k" + std::to_string(k) + "-batched", "statistical", k,
                lanes, ms, scalar_ms * lanes / ms, cut, boundary, phase);
       }

@@ -15,7 +15,6 @@
 
 #include "exp/journal.hpp"
 #include "mis/verifier.hpp"
-#include "sim/batch.hpp"
 #include "sim/sharded.hpp"
 #include "sim/sharded_batch.hpp"
 #include "support/hash.hpp"
@@ -496,16 +495,19 @@ void run_trials_chunked(const GraphFactory& graphs, const TrialConfig& config,
   run_workers(config.threads, pending.size(), worker);
 }
 
-/// Batched fast path: 64 trials share one structure-of-arrays sweep of the
-/// shared graph (see src/sim/batch.hpp).  Per-trial seeds, records and the
-/// chunked aggregation are identical to the scalar path, and in
-/// kScalarOrder each lane is bit-identical to its scalar run, so
-/// TrialStats match exactly.  Chunks contain whole batches
-/// (effective_chunk_size), so fault isolation and resume operate at batch
-/// granularity here: a batch that exhausts its retries quarantines all of
-/// its trials.
-void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFactory& protocols,
-                             const TrialConfig& config, SweepState& sweep) {
+/// Lane-plane path (sim/sharded_batch.hpp): 64 trials share one
+/// structure-of-arrays sweep of the shared graph, swept by `shards` worker
+/// threads per run.  Per-trial seeds, records and the chunked aggregation
+/// are identical to the scalar path, and in kScalarOrder (shards = 1) each
+/// lane is bit-identical to its scalar run, so TrialStats match exactly.
+/// In kStatisticalLanes each batch runs from one base stream keyed by its
+/// first trial index; at shards >= 2 the per-(shard, lane) stream
+/// partition yields a different (equally distributed) sample.  Chunks
+/// contain whole batches (effective_chunk_size), so fault isolation and
+/// resume operate at batch granularity: a batch that exhausts its retries
+/// quarantines all of its trials.
+void run_beep_trials_planes(const graph::Graph& shared, const BeepProtocolFactory& protocols,
+                            const TrialConfig& config, SweepState& sweep, unsigned shards) {
   const support::SeedSequence root(config.base_seed);
 
   struct Batch {
@@ -526,12 +528,13 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
   std::atomic<std::size_t> next{0};
 
   auto worker = [&] {
-    // One batch simulator and one batched kernel per worker, reused across
-    // batches (scratch planes and policy arrays are recycled).
+    // One simulator, bound once to the shared graph, and one batched kernel
+    // per worker, reused across batches (scratch planes recycled).
     const DeadlinePtr deadline = make_trial_deadline(config);
     sim::SimConfig sim_config = config.sim;
     sim_config.deadline_ns = deadline;
-    sim::BatchSimulator simulator(sim_config, config.rng_mode);
+    sim::ShardedBatchSimulator simulator(shared, shards, std::move(sim_config),
+                                         config.rng_mode);
     const std::unique_ptr<sim::BatchProtocol> protocol =
         protocols()->make_batch_protocol(config.rng_mode);
     if (!protocol) {
@@ -540,6 +543,8 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
       throw std::logic_error(
           "run_beep_trials: protocol factory is inconsistent about make_batch_protocol");
     }
+    const unsigned k = simulator.shard_count();
+    std::vector<std::vector<mis::LaneVerification>> parts(k);
     for (;;) {
       if (sweep.should_stop()) break;
       const std::size_t i = next.fetch_add(1);
@@ -550,12 +555,7 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
       const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
         sim::LanePlanes planes;
         if (config.rng_mode == sim::BatchRngMode::kStatisticalLanes) {
-          // One base stream per batch, keyed by the batch's first trial
-          // index: lane streams are jump()-partitioned inside the
-          // simulator, so records stay deterministic for any thread count
-          // (per (base_seed, trials, mode), not per trial seed).
-          planes = simulator.run_planes(shared, *protocol,
-                                        root.child(first).child(1).generator(),
+          planes = simulator.run_planes(*protocol, root.child(first).child(1).generator(),
                                         static_cast<unsigned>(last - first));
         } else {
           std::vector<support::Xoshiro256StarStar> rngs;
@@ -563,10 +563,22 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
           for (std::size_t trial = first; trial < last; ++trial) {
             rngs.push_back(root.child(trial).child(1).generator());
           }
-          planes = simulator.run_planes(shared, *protocol, std::move(rngs));
+          planes = simulator.run_planes(*protocol, std::move(rngs));
         }
-        fill_batch_records(sweep.records, first, planes,
-                           mis::verify_mis_planes(shared, planes, 0, shared.node_count()));
+        // Verification fans out like the run: one worker per shard range.
+        std::atomic<unsigned> next_range{0};
+        run_workers(k, k, [&] {
+          for (;;) {
+            const unsigned s = next_range.fetch_add(1);
+            if (s >= k) break;
+            const auto [lo, hi] = simulator.shard_range(s);
+            parts[s] = mis::verify_mis_planes(shared, planes, lo, hi);
+          }
+        });
+        for (unsigned s = 1; s < k; ++s) {
+          for (unsigned l = 0; l < planes.lanes; ++l) parts[0][l].merge(parts[s][l]);
+        }
+        fill_batch_records(sweep.records, first, planes, parts[0]);
       });
       for (std::size_t trial = first; trial < last; ++trial) {
         TrialRecord& rec = sweep.records[trial];
@@ -582,87 +594,8 @@ void run_beep_trials_batched(const graph::Graph& shared, const BeepProtocolFacto
       if (sweep.remaining[chunk].fetch_sub(1) == 1) finish_chunk(sweep, chunk);
     }
   };
-  run_workers(config.threads, pending.size(), worker);
-}
-
-/// Sharded-batched fast path (sim/sharded_batch.hpp): every 64-trial batch
-/// of a statistical-lanes sweep runs as 64 lane planes swept by `shards`
-/// worker threads at once.  Batch seeds, records and the chunked
-/// aggregation match the batched statistical path exactly (one base stream
-/// per batch, keyed by its first trial index), so at shard count 1 the
-/// numbers would coincide with run_beep_trials_batched — but the harness
-/// only routes here with shards >= 2, where the per-(shard, lane) stream
-/// partition yields a different (equally distributed) sample.  The outer
-/// batch loop is single-worker because each run already fans out across
-/// `shards` threads.
-void run_beep_trials_sharded_batched(const graph::Graph& shared,
-                                     const BeepProtocolFactory& protocols,
-                                     const TrialConfig& config, SweepState& sweep,
-                                     unsigned shards) {
-  const support::SeedSequence root(config.base_seed);
-
-  struct Batch {
-    std::size_t first = 0, last = 0;
-  };
-  std::vector<Batch> pending;
-  for (std::size_t chunk = 0; chunk < sweep.num_chunks; ++chunk) {
-    if (sweep.chunk_stats[chunk] != nullptr) continue;
-    const std::size_t first = sweep.chunk_first(chunk);
-    const std::size_t last = sweep.chunk_last(chunk);
-    std::size_t batches_in_chunk = 0;
-    for (std::size_t b = first; b < last; b += sim::kMaxBatchLanes) {
-      pending.push_back({b, std::min(b + sim::kMaxBatchLanes, last)});
-      ++batches_in_chunk;
-    }
-    sweep.remaining[chunk].store(batches_in_chunk, std::memory_order_relaxed);
-  }
-
-  const DeadlinePtr deadline = make_trial_deadline(config);
-  sim::SimConfig sim_config = config.sim;
-  sim_config.deadline_ns = deadline;
-  sim::ShardedBatchSimulator simulator(shared, shards, std::move(sim_config), config.rng_mode);
-  const std::unique_ptr<sim::BatchProtocol> protocol =
-      protocols()->make_batch_protocol(config.rng_mode);
-  if (!protocol) {
-    throw std::logic_error(
-        "run_beep_trials: protocol factory is inconsistent about make_batch_protocol");
-  }
-  for (const Batch& batch : pending) {
-    if (sweep.should_stop()) break;
-    const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-      const sim::LanePlanes planes =
-          simulator.run_planes(*protocol, root.child(batch.first).child(1).generator(),
-                               static_cast<unsigned>(batch.last - batch.first));
-      // Verification fans out like the run: one worker per shard range.
-      const graph::Partition& partition = simulator.partition();
-      const unsigned k = partition.shard_count();
-      std::vector<std::vector<mis::LaneVerification>> parts(k);
-      std::atomic<unsigned> next_range{0};
-      run_workers(k, k, [&] {
-        for (;;) {
-          const unsigned s = next_range.fetch_add(1);
-          if (s >= k) break;
-          parts[s] = mis::verify_mis_planes(shared, planes, partition.begin(s),
-                                            partition.end(s));
-        }
-      });
-      for (unsigned s = 1; s < k; ++s) {
-        for (unsigned l = 0; l < planes.lanes; ++l) parts[0][l].merge(parts[s][l]);
-      }
-      fill_batch_records(sweep.records, batch.first, planes, parts[0]);
-    });
-    for (std::size_t trial = batch.first; trial < batch.last; ++trial) {
-      TrialRecord& rec = sweep.records[trial];
-      if (outcome.completed) {
-        rec.status = TrialRecord::Status::kCompleted;
-        rec.attempts = outcome.attempts;
-      } else {
-        quarantine_record(rec, outcome);
-      }
-    }
-    const std::size_t chunk = batch.first / sweep.chunk_size;
-    if (sweep.remaining[chunk].fetch_sub(1) == 1) finish_chunk(sweep, chunk);
-  }
+  // Each sharded run already fans out across `shards` threads.
+  run_workers(shards >= 2 ? 1 : config.threads, pending.size(), worker);
 }
 
 /// Decides whether the sweep routes to the sharded-batched path and
@@ -799,24 +732,23 @@ void dispatch_beep_trials(const GraphFactory& graphs, const graph::Graph* prebui
     built = graphs(rng);
     return built;
   };
-  // Sharded-batched path: every core and every lane at once.  Routed
+  // Lane-plane path at K >= 2: every core and every lane at once.  Routed
   // before the scalar-order sharded path because statistical mode is an
   // explicit opt-in to a different sample (resolve_sharded_batch_shards
   // gates on it), and its k is already folded into the journal's request
   // hash.
   if (sharded_batch_k > 0) {
-    run_beep_trials_sharded_batched(trial0_graph(), protocols, config, sweep,
-                                    sharded_batch_k);
+    run_beep_trials_planes(trial0_graph(), protocols, config, sweep, sharded_batch_k);
     return;
   }
   // Sharded path: parallelism *within* one run (TrialConfig::shards).
   // Bit-identical to the scalar path, like the batched path below.
   if (run_beep_trials_sharded(graphs, protocols, config, sweep)) return;
-  // Batched fast path: one graph shared by every trial, a protocol with a
-  // batched kernel, and no per-run event trace.  In kScalarOrder it is
-  // bit-identical to the scalar path (lane-for-lane), so callers never
-  // observe the switch; in kStatisticalLanes it is an explicit opt-in
-  // trade (TrialConfig::rng_mode).
+  // Lane-plane path at K = 1 (batched): one graph shared by every trial, a
+  // protocol with a batched kernel, and no per-run event trace.  In
+  // kScalarOrder it is bit-identical to the scalar path (lane-for-lane),
+  // so callers never observe the switch; in kStatisticalLanes it is an
+  // explicit opt-in trade (TrialConfig::rng_mode).
   if (config.allow_batched && config.shared_graph && config.trials > 0 &&
       !config.sim.record_trace) {
     // Lossy tail-dominated sweeps (loss + keep-alive + a run_until tail):
@@ -831,7 +763,7 @@ void dispatch_beep_trials(const GraphFactory& graphs, const graph::Graph* prebui
                                       config.sim.run_until_round > 0;
     if ((statistical || !lossy_tail_dominated) &&
         protocols()->make_batch_protocol(config.rng_mode) != nullptr) {
-      run_beep_trials_batched(trial0_graph(), protocols, config, sweep);
+      run_beep_trials_planes(trial0_graph(), protocols, config, sweep, 1);
       return;
     }
   }

@@ -1,6 +1,9 @@
-// Batched multi-seed beeping simulator: up to 64 independent trials (one
-// per bit lane) of the *same* graph and SimConfig advance in lock-step
-// through one structure-of-arrays sweep.
+// Batched-kernel interface: up to 64 independent trials (one per bit
+// lane) of the *same* graph and SimConfig advance in lock-step through one
+// structure-of-arrays sweep.  This header holds what kernels see
+// (BatchContext, BatchProtocol); the engine that drives them is
+// ShardedBatchSimulator (sharded_batch.hpp), whose one-shard spelling is
+// BatchSimulator.
 //
 // Layout: every per-node flag of the scalar BeepSimulator (beeped, heard,
 // prev-beeped, live/active, in-MIS, dominated, crashed) becomes a per-node
@@ -12,30 +15,11 @@
 // least one lane) drives the activity-bound tail exactly as in the scalar
 // core.
 //
-// Determinism contract (BatchRngMode::kScalarOrder, the default): lane l
-// of a batched run is bit-identical to a scalar BeepSimulator run with the
-// same (graph, protocol config, rng).  Each lane owns its own RNG stream
-// and consumes it in exactly the scalar order: protocol-reset draws, then
-// per round ascending-id emit draws, then (in lossy mode) one Bernoulli
-// per potential delivery in ascending beeper order, then keep-alive
-// deliveries in per-lane MIS join order.  Lanes that terminate stop
-// consuming randomness and freeze their planes.  See src/sim/README.md
-// ("Batched lanes") for the full contract.
-//
-// BatchRngMode::kStatisticalLanes (opt-in) relaxes that contract to
-// per-lane *marginal distributions*: the run is seeded by one base stream,
-// lane l draws from the base advanced by l+1 jump() calls (deterministic
-// per (seed, lane), no scalar draw-order carving), and the base stream
-// itself becomes a shared bulk-plane stream from which kernels draw one
-// 64-bit word per Bernoulli *plane* — all lanes of a dyadic exponent
-// bucket, or all lanes of a lossy edge delivery, decided at once.  Results
-// are deterministic per (seed, lane count, mode) but not comparable
-// seed-for-seed with scalar runs; see src/sim/README.md ("Statistical
-// lanes") for when the trade is sound.
-//
-// Not supported (callers must fall back to the scalar core): event traces,
-// round observers, and protocols without a batched kernel
-// (BeepProtocol::make_batch_protocol() returns nullptr).
+// Kernels must honour both rng modes: in BatchRngMode::kScalarOrder lane l
+// consumes its own stream exactly as the scalar protocol consumes its run
+// RNG; in kStatisticalLanes kernels may instead draw one 64-bit word per
+// Bernoulli *plane* from the shared bulk stream.  See sharded_batch.hpp
+// and src/sim/README.md ("Batched lanes", "Statistical lanes").
 #pragma once
 
 #include <bit>
@@ -56,15 +40,13 @@ namespace beepmis::sim {
 // kMaxBatchLanes, LaneMask and the LanePlanes result view live in
 // sim/result.hpp (included above) with the other result types.
 
-class BatchSimulator;
 class ShardedBatchSimulator;
 
 /// Per-exchange view handed to batched protocols.  Mirrors BeepContext but
 /// every query answers for all lanes at once via a LaneMask.  Like the
-/// scalar context it is wired at a *sink*: the batched front-end wires one
-/// context covering [0, n); the sharded-batched front-end wires one per
-/// Partition slice, which is what lets K shards run one kernel's
-/// emit/react concurrently over disjoint node ranges.
+/// scalar context it is wired at a *sink*: the engine wires one context per
+/// shard (covering [0, n) at K = 1), which is what lets K shards run one
+/// kernel's emit/react concurrently over disjoint node ranges.
 class BatchContext {
  public:
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
@@ -79,11 +61,11 @@ class BatchContext {
     return *active_;
   }
 
-  /// The id range [node_begin, node_end) this context may mutate: the whole
-  /// graph in the batched core, one shard's slice in the sharded-batched
-  /// core.  Kernels whose react scans *all* nodes (not just active ones —
-  /// e.g. self-healing silence counters) must restrict that scan to this
-  /// range or the sharded-batched core would visit each node K times.
+  /// The id range [node_begin, node_end) this context may mutate: one
+  /// shard's slice (the whole graph at K = 1).  Kernels whose react scans
+  /// *all* nodes (not just active ones — e.g. self-healing silence
+  /// counters) must restrict that scan to this range or K shards would
+  /// visit each node K times.
   [[nodiscard]] graph::NodeId node_begin() const noexcept { return lo_; }
   [[nodiscard]] graph::NodeId node_end() const noexcept { return hi_; }
 
@@ -155,16 +137,14 @@ class BatchContext {
   [[nodiscard]] LaneMask bernoulli_plane(double p, LaneMask lanes);
 
  private:
-  friend class BatchSimulator;
   friend class ShardedBatchSimulator;
   enum class Phase { kEmit, kReact };
 
-  // The context is a bundle of direct pointers into its front-end's
-  // bookkeeping (no simulator backpointer): the batched core wires one
-  // context at its global arrays; the sharded-batched core wires one per
-  // shard, pointing the mutable lists (beepers, joins, reactivations,
-  // active counts) at per-shard storage while the planes stay global
-  // (each shard writes only its own [lo, hi) rows).
+  // The context is a bundle of direct pointers into the engine's
+  // bookkeeping (no simulator backpointer): one per shard, pointing the
+  // mutable lists (beepers, joins, reactivations, active counts) at
+  // per-shard storage while the planes stay global (each shard writes
+  // only its own [lo, hi) rows).
   const graph::Graph* graph_ = nullptr;
   const std::vector<graph::NodeId>* active_ = nullptr;
   std::vector<LaneMask>* live_ = nullptr;
@@ -174,26 +154,21 @@ class BatchContext {
   const std::vector<LaneMask>* prev_beeped_ = nullptr;
   const std::vector<LaneMask>* heard_ = nullptr;
   std::vector<graph::NodeId>* beepers_ = nullptr;
-  /// Bit-sliced beep counters (LanePlanes::beep_planes); the front-end
+  /// Bit-sliced beep counters (LanePlanes::beep_planes); the engine
   /// grows them at round boundaries, shards write only their own rows.
   std::vector<std::vector<LaneMask>>* beep_planes_ = nullptr;
   std::uint32_t* active_count_ = nullptr;  ///< per-lane, this context's slice
-  /// Per-lane live-MIS join-order lists; nullptr when the front-end does
-  /// not maintain them (the sharded-batched core is statistical-only, so
-  /// nothing consumes join order).
+  /// Per-lane live-MIS join-order lists; nullptr in kStatisticalLanes,
+  /// where nothing consumes join order.
   std::vector<std::vector<graph::NodeId>>* mis_lists_ = nullptr;
-  /// Where join_mis records new members: the global union list (batched
-  /// core, deduplicated through in_mis_union_) or a per-shard new-joins
-  /// list merged at the round boundary (sharded-batched core, dedup at the
-  /// coordinator; in_mis_union_ is nullptr there).
+  /// This shard's new-joins list, merged (and deduplicated) into the
+  /// global MIS union by the coordinator at the round boundary.
   std::vector<graph::NodeId>* mis_joins_ = nullptr;
-  std::vector<std::uint8_t>* in_mis_union_ = nullptr;
-  bool* mis_hear_valid_ = nullptr;
   std::vector<graph::NodeId>* reactivated_ = nullptr;
   std::uint64_t* reactivation_counts_ = nullptr;  ///< per-lane
   const LaneMask* running_ = nullptr;
-  /// Bulk-plane stream (kStatisticalLanes): the batched core's base
-  /// stream, or this shard's own bulk stream in the sharded-batched core.
+  /// Bulk-plane stream (kStatisticalLanes): this shard's own bulk stream
+  /// (the run's base stream at K = 1).
   support::Xoshiro256StarStar* bulk_rng_ = nullptr;
   std::vector<support::Xoshiro256StarStar>* rngs_ = nullptr;
   BatchRngMode rng_mode_ = BatchRngMode::kScalarOrder;
@@ -232,128 +207,12 @@ class BatchProtocol {
   [[nodiscard]] virtual bool reads_heard_only_on_live_frontier() const { return false; }
 };
 
-/// The batched simulator.  One instance may execute many batches (scratch
-/// reused); each run() takes the per-lane RNGs by value, one per trial.
-class BatchSimulator {
- public:
-  /// record_trace is unsupported in the batched core (throws).
-  explicit BatchSimulator(SimConfig config = {},
-                          BatchRngMode rng_mode = BatchRngMode::kScalarOrder);
-
-  /// kScalarOrder only (throws std::logic_error otherwise): runs
-  /// rngs.size() lanes (1..kMaxBatchLanes) of `protocol` on `g` to
-  /// per-lane termination (or the round cap) and returns the finished
-  /// lane planes, valid until the next run.  Lane l is bit-identical to
-  /// scalar BeepSimulator::run(g, scalar_protocol, rngs[l]).  The caller
-  /// must keep `g` alive for the duration of the call.
-  [[nodiscard]] LanePlanes run_planes(const graph::Graph& g, BatchProtocol& protocol,
-                                      std::vector<support::Xoshiro256StarStar> rngs);
-  LanePlanes run_planes(graph::Graph&&, BatchProtocol&,
-                        std::vector<support::Xoshiro256StarStar>) = delete;
-  /// run_planes, then one RunResult per lane (extract_lane_results).
-  [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           std::vector<support::Xoshiro256StarStar> rngs);
-  RunResult run(graph::Graph&&, BatchProtocol&,
-                std::vector<support::Xoshiro256StarStar>) = delete;
-
-  /// kStatisticalLanes only (throws std::logic_error otherwise): runs
-  /// `lanes` lanes seeded from one base stream — lane l draws from `base`
-  /// advanced by l+1 jump() calls, and `base` itself becomes the shared
-  /// bulk-plane stream — so lane l's stream depends only on (seed, l).
-  /// Per-lane results are distributed like independent scalar runs but are
-  /// not bit-comparable to any scalar seed; they are deterministic per
-  /// (seed, lane count).  Returns the finished lane planes, valid until the
-  /// next run.
-  [[nodiscard]] LanePlanes run_planes(const graph::Graph& g, BatchProtocol& protocol,
-                                      support::Xoshiro256StarStar base, unsigned lanes);
-  LanePlanes run_planes(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
-                        unsigned) = delete;
-  /// run_planes, then one RunResult per lane (extract_lane_results).
-  [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base, unsigned lanes);
-  RunResult run(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
-                unsigned) = delete;
-
-  [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-  [[nodiscard]] BatchRngMode rng_mode() const noexcept { return rng_mode_; }
-
- private:
-  friend class BatchContext;
-
-  void bind_graph(const graph::Graph& g);
-  void apply_wakeups_and_crashes();
-  void deliver_beeps(bool frontier_only_reads);
-  void compact_active();
-  [[nodiscard]] LanePlanes run_lanes(const graph::Graph& g, BatchProtocol& protocol,
-                                     std::vector<support::Xoshiro256StarStar> rngs);
-
-  const graph::Graph* graph_ = nullptr;
-  SimConfig config_;
-  BatchRngMode rng_mode_ = BatchRngMode::kScalarOrder;
-  /// Shared bulk-plane stream (kStatisticalLanes only): the run's base
-  /// stream, disjoint from every jump()-partitioned lane stream for the
-  /// first 2^128 outputs.
-  support::Xoshiro256StarStar bulk_rng_{0};
-  unsigned lane_count_ = 0;
-
-  /// Fault schedule (presorted events + round-0 frontier), built once per
-  /// graph binding — the same detail::FaultSchedule the scalar and sharded
-  /// cores walk; the schedule is part of SimConfig and therefore shared by
-  /// every lane.
-  detail::FaultSchedule faults_;
-  detail::FaultCursor fault_cursor_;
-  graph::NodeId bound_node_count_ = 0;
-
-  // Per-node bitplanes (bit l = lane l's flag).
-  std::vector<LaneMask> live_;       ///< on lane's active list
-  std::vector<LaneMask> inmis_;      ///< joined the MIS (live members only)
-  std::vector<LaneMask> dominated_;  ///< dominated
-  std::vector<LaneMask> crashed_;    ///< fail-stopped
-  std::vector<LaneMask> beeped_;
-  std::vector<LaneMask> prev_beeped_;
-  std::vector<LaneMask> heard_;
-
-  // Union frontiers and dirty lists over the planes.
-  std::vector<graph::NodeId> active_;       ///< union active frontier, ascending
-  std::vector<std::uint8_t> in_active_;     ///< membership bitmap of active_
-  std::vector<graph::NodeId> beepers_;      ///< nodes with any beeped_ bit
-  std::vector<graph::NodeId> prev_beepers_;
-  std::vector<graph::NodeId> heard_dirty_;  ///< nodes with any heard_ bit
-  std::vector<graph::NodeId> mis_union_;    ///< nodes with any inmis_ bit, ever
-  std::vector<std::uint8_t> in_mis_union_;
-  /// Reliable-channel keep-alive cache (per-lane analogue of the scalar
-  /// mis_hear_): node w hears keep-alive in lanes mis_hear_mask_[w], for
-  /// each w in mis_hear_.  Re-derived only when any lane's MIS changes, so
-  /// a static tail exchange applies one cached (node, mask) list for all
-  /// 64 lanes instead of 64 CSR walks.  Unused in lossy mode.
-  std::vector<LaneMask> mis_hear_mask_;
-  std::vector<graph::NodeId> mis_hear_;
-  bool mis_hear_valid_ = false;
-  /// Nodes reactivated this round (self-healing); merged into the union
-  /// active frontier at the round boundary, like the scalar reactivated_.
-  std::vector<graph::NodeId> reactivated_;
-
-  // Per-lane state.
-  std::vector<support::Xoshiro256StarStar> rngs_;
-  std::vector<std::vector<graph::NodeId>> mis_lists_;  ///< per-lane live MIS, join order
-  std::vector<std::uint32_t> active_count_;            ///< per-lane |active list|
-  std::vector<std::size_t> lane_rounds_;
-  /// Bit-sliced per-(node, lane) beep episodes (LanePlanes::beep_planes).
-  std::vector<std::vector<LaneMask>> beep_planes_;
-  std::vector<std::uint64_t> reactivation_counts_;  ///< per lane (self-healing)
-  LaneMask running_ = 0;     ///< lanes still executing their round loop
-  LaneMask terminated_ = 0;  ///< lanes that finished with an empty active set
-
-  std::size_t round_ = 0;
-  unsigned exchange_ = 0;
-};
-
 // --- Inline hot paths -------------------------------------------------------
 // BatchContext::beep and the bulk-plane draws run once per (node, exchange)
 // or per exponent chunk in the kernel sweeps; defining them here lets the
 // kernel translation units inline them.  The plane arithmetic itself lives
-// in sim/exchange_core.hpp (detail::plane_bernoulli*), shared with the
-// sharded-batched front-end; these wrappers add only the mode check.
+// in sim/exchange_core.hpp (detail::plane_bernoulli*); these wrappers add
+// only the mode check.
 
 inline LaneMask BatchContext::random_plane() {
   if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
@@ -392,7 +251,7 @@ inline void BatchContext::beep(graph::NodeId v, LaneMask lanes) {
   // Scalar episode rule: a beep continuing from the previous exchange of
   // the same round is one signal episode, not two.  Every new episode
   // adds one to its lane's bit-sliced count: one ripple carry over the
-  // counter planes serves all lanes (~2 expected word ops).  The front-end
+  // counter planes serves all lanes (~2 expected word ops).  The engine
   // grows the planes to the round's bound first, so the carry dies inside
   // them; past kMaxBeepPlanes it wraps like a uint32 count would.
   LaneMask carry = fresh & ~(*prev_beeped_)[v];

@@ -6,12 +6,12 @@
 // same exchange — clear flags through dirty lists, deliver beeps by
 // walking an explicit beeper frontier, apply presorted fault events,
 // compact the active list at round boundaries.  The plane half (bottom of
-// this header) is the 64-lane bitplane analogue driving BatchSimulator and
-// ShardedBatchSimulator: LaneMask planes instead of uint8_t flags, bulk
-// Bernoulli planes instead of per-lane draws, per-lane retirement instead
-// of one while-condition.  Holding both halves here, parameterised over
+// this header) is the 64-lane bitplane analogue driving the lane-plane
+// core, ShardedBatchSimulator: LaneMask planes instead of uint8_t flags,
+// bulk Bernoulli planes instead of per-lane draws, per-lane retirement
+// instead of one while-condition.  Holding both halves here, parameterised over
 // the node range and the adjacency view (the full CSR for the unsharded
-// cores, a Partition slice for one shard), is what keeps the four
+// cores, a Partition slice for one shard), is what keeps the three
 // front-ends from drifting — the determinism contract in src/sim/README.md
 // is implemented here.
 //
@@ -214,10 +214,9 @@ void extend_mis_hear(const std::vector<graph::NodeId>& mis_nodes, std::size_t fr
 }
 
 // ---------------------------------------------------------------------------
-// Plane engine: the 64-lane bitplane half of the exchange machinery, shared
-// by the batched front-end (BatchSimulator, one context covering [0, n))
-// and the sharded-batched front-end (ShardedBatchSimulator, one context per
-// Partition slice).  Everything below is the lane-plane analogue of the
+// Plane engine: the 64-lane bitplane half of the exchange machinery,
+// driven by ShardedBatchSimulator (one context per shard; one context
+// covering [0, n) at K = 1).  Everything below is the lane-plane analogue of the
 // flag helpers above: per-node LaneMask planes instead of uint8_t flags,
 // per-lane counters instead of one list size.
 // ---------------------------------------------------------------------------
@@ -387,8 +386,8 @@ inline void grow_beep_planes(std::vector<std::vector<LaneMask>>& planes, std::si
 /// Reliable plane delivery: one adjacency pass serves every lane via
 /// OR-accumulation — heard[w] |= beeped[v] is one 8-byte OR where the
 /// scalar core performs up to 64 separate byte stores.  `neighbors_of`
-/// scopes the pass (full adjacency in the batched core, one shard's
-/// listener slice in the sharded-batched core), which is what makes
+/// scopes the pass (full adjacency at K = 1, one shard's listener slice
+/// at K >= 2), which is what makes
 /// listener-partitioned delivery race-free: a lane ORs only into its own
 /// heard range.
 template <typename NeighborsFn>
@@ -475,8 +474,8 @@ void deliver_planes_lossy(const std::vector<graph::NodeId>& sources, MaskFn&& ma
 /// Reliable-channel keep-alive cache over planes (lane analogue of
 /// extend_mis_hear): rebuilds the (listener, lane-mask) list from the MIS
 /// union.  `mask_of(v)` supplies v's member lanes — the live in-MIS plane
-/// in the batched core, the coordinator's snapshot in the sharded-batched
-/// core (so shards read a stable mask while others react).
+/// at K = 1, the coordinator's snapshot at K >= 2 (so shards read a
+/// stable mask while others react).
 template <typename MaskFn, typename NeighborsFn>
 void rebuild_mis_hear_planes(const std::vector<graph::NodeId>& mis_union, MaskFn&& mask_of,
                              NeighborsFn&& neighbors_of,

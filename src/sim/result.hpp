@@ -56,21 +56,21 @@ struct RunResult {
   [[nodiscard]] double mean_beeps_per_node() const;
 };
 
-/// Width of the batched cores' bitplanes: one bit per concurrent trial.
+/// Width of the lane-plane core's bitplanes: one bit per concurrent trial.
 inline constexpr unsigned kMaxBatchLanes = 64;
 
 /// One bit per lane; bit l belongs to trial lane l.  Defined with the
 /// result types (not in batch.hpp) so the plane half of the exchange
 /// engine and the plane verifier can read lane planes without depending
-/// on the batched front-end.
+/// on the lane-plane engine.
 using LaneMask = std::uint64_t;
 
 /// Most bit-sliced beep-counter planes a batched run keeps: counts are
 /// uint32 in RunResult, so 32 planes hold any count.
 inline constexpr unsigned kMaxBeepPlanes = 32;
 
-/// Read-only view of a finished batched run (BatchSimulator and
-/// ShardedBatchSimulator::run_planes): the final status planes and the
+/// Read-only view of a finished batched run
+/// (ShardedBatchSimulator::run_planes): the final status planes and the
 /// per-lane aggregates every lane's RunResult is built from.  Lane l's
 /// status of node v follows the precedence crashed, then in-MIS, then
 /// dominated, else active.  The view borrows the simulator's storage and

@@ -1,6 +1,7 @@
 #include "sim/sharded_batch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -11,12 +12,11 @@
 
 namespace beepmis::sim {
 
-// The exchange machinery here is entirely the shared plane engine
-// (sim/exchange_core.hpp detail::) — the same helpers the batched
-// front-end calls, pointed at one shard's slice instead of [0, n).  This
-// file only adds the SPMD choreography: the barrier schedule, the
-// coordinator's merge/snapshot steps, and the per-(shard, lane) stream
-// layout.
+// The exchange machinery is the shared plane engine (sim/exchange_core.hpp
+// detail::), pointed at one shard's slice.  This file adds the SPMD
+// choreography (the barrier schedule, the coordinator's merge/snapshot
+// steps), the per-(shard, lane) stream layout, and the kScalarOrder
+// draw-order paths of the one-shard core.
 
 ShardedBatchSimulator::ShardedBatchSimulator(unsigned shards, SimConfig config,
                                              BatchRngMode rng_mode)
@@ -30,11 +30,11 @@ ShardedBatchSimulator::ShardedBatchSimulator(unsigned shards, SimConfig config,
         " (one worker thread and an n-scaled slice index per shard; is a "
         "negative value wrapping through unsigned?)");
   }
-  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
+  if (rng_mode_ != BatchRngMode::kStatisticalLanes && partitioned()) {
     throw std::invalid_argument(
-        "ShardedBatchSimulator: kScalarOrder's global draw order cannot be "
-        "reproduced across shards and lanes at once; use BatchSimulator for "
-        "bit-identical lanes or kStatisticalLanes here");
+        "ShardedBatchSimulator: kScalarOrder's draw order cannot be reproduced "
+        "across shards and lanes at once; run bit-identical lanes at one shard, "
+        "or kStatisticalLanes at " + std::to_string(shards));
   }
   if (config_.beep_loss_probability < 0.0 || config_.beep_loss_probability >= 1.0) {
     throw std::invalid_argument("SimConfig: beep_loss_probability must be in [0, 1)");
@@ -67,11 +67,20 @@ const graph::Partition& ShardedBatchSimulator::partition() const {
   if (graph_ == nullptr) {
     throw std::logic_error("ShardedBatchSimulator::partition: no graph bound");
   }
+  if (!partitioned()) {
+    throw std::logic_error("ShardedBatchSimulator::partition: one shard builds no partition");
+  }
   return partition_;
 }
 
 void ShardedBatchSimulator::bind_graph(const graph::Graph& g) {
   const graph::NodeId n = g.node_count();
+  // Unpartitioned, the binding depends only on (config_, n), so a rebind
+  // to an equal-sized graph skips the rebuild, like the scalar core's.
+  if (!partitioned() && graph_ != nullptr && n == shards_[0].hi) {
+    graph_ = &g;
+    return;
+  }
   if (!config_.wake_round.empty() && config_.wake_round.size() != n) {
     throw std::invalid_argument("SimConfig: wake_round size must match the graph");
   }
@@ -79,31 +88,19 @@ void ShardedBatchSimulator::bind_graph(const graph::Graph& g) {
     throw std::invalid_argument("SimConfig: crash_round size must match the graph");
   }
   graph_ = &g;
-  partition_ = graph::Partition::build(g, requested_shards_);
-  if (config_.shard_local_adjacency) partition_.materialize_local_adjacency();
-  const unsigned k = partition_.shard_count();
+  if (partitioned()) {
+    partition_ = graph::Partition::build(g, requested_shards_);
+    if (config_.shard_local_adjacency) partition_.materialize_local_adjacency();
+  }
+  const unsigned k = partitioned() ? partition_.shard_count() : 1;
   shards_.resize(k);
   for (unsigned s = 0; s < k; ++s) {
     Shard& shard = shards_[s];
-    shard.lo = partition_.begin(s);
-    shard.hi = partition_.end(s);
+    shard.lo = partitioned() ? partition_.begin(s) : 0;
+    shard.hi = partitioned() ? partition_.end(s) : n;
     shard.faults = detail::build_fault_schedule(config_.wake_round, config_.crash_round,
                                                 shard.lo, shard.hi);
   }
-}
-
-std::vector<RunResult> ShardedBatchSimulator::run(const graph::Graph& g,
-                                                  BatchProtocol& protocol,
-                                                  support::Xoshiro256StarStar base,
-                                                  unsigned lanes) {
-  bind_graph(g);
-  return run(protocol, std::move(base), lanes);
-}
-
-std::vector<RunResult> ShardedBatchSimulator::run(BatchProtocol& protocol,
-                                                  support::Xoshiro256StarStar base,
-                                                  unsigned lanes) {
-  return extract_lane_results(run_planes(protocol, std::move(base), lanes));
 }
 
 LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
@@ -112,11 +109,58 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
   if (graph_ == nullptr) {
     throw std::logic_error("ShardedBatchSimulator::run: no graph bound");
   }
+  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
+    throw std::logic_error(
+        "ShardedBatchSimulator: base-seeded runs belong to kStatisticalLanes; a "
+        "kScalarOrder run takes one rng per lane");
+  }
   if (lanes == 0 || lanes > kMaxBatchLanes) {
     throw std::invalid_argument("ShardedBatchSimulator::run: need 1..64 lanes");
   }
+  // Stream layout: walking the shards in order, shard s adopts the cursor
+  // as its bulk stream, then takes one jump per lane stream, then one
+  // more jump separates it from shard s+1.  So shard s's bulk is the base
+  // advanced by s·(lanes+1) jumps and every (shard, lane) window is a
+  // disjoint 2^128-output span; at K = 1 lane l's stream is the base
+  // advanced by l+1 jumps, so it depends only on (seed, l).
+  support::Xoshiro256StarStar cursor = std::move(base);
+  for (Shard& shard : shards_) {
+    shard.bulk = cursor;
+    support::Xoshiro256StarStar stream = cursor;
+    shard.rngs.clear();
+    shard.rngs.reserve(lanes);
+    for (unsigned l = 0; l < lanes; ++l) {
+      stream.jump();
+      shard.rngs.push_back(stream);
+    }
+    cursor = stream;
+    cursor.jump();
+  }
+  return run_lanes(protocol, lanes);
+}
+
+LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
+                                             std::vector<support::Xoshiro256StarStar> rngs) {
+  if (graph_ == nullptr) {
+    throw std::logic_error("ShardedBatchSimulator::run: no graph bound");
+  }
+  if (rng_mode_ != BatchRngMode::kScalarOrder) {
+    throw std::logic_error(
+        "ShardedBatchSimulator: per-lane rng vectors belong to kScalarOrder; a "
+        "kStatisticalLanes run is seeded by one base stream (run(protocol, base, "
+        "lanes))");
+  }
+  if (rngs.empty() || rngs.size() > kMaxBatchLanes) {
+    throw std::invalid_argument("ShardedBatchSimulator::run: need 1..64 lane RNGs");
+  }
+  const auto lanes = static_cast<unsigned>(rngs.size());
+  shards_[0].rngs = std::move(rngs);  // kScalarOrder implies one shard
+  return run_lanes(protocol, lanes);
+}
+
+LanePlanes ShardedBatchSimulator::run_lanes(BatchProtocol& protocol, unsigned lanes) {
   const graph::NodeId n = graph_->node_count();
-  const unsigned k = partition_.shard_count();
+  const auto k = static_cast<unsigned>(shards_.size());
   lane_count_ = lanes;
   const LaneMask all_lanes =
       lanes == kMaxBatchLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1;
@@ -132,8 +176,12 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
   in_mis_union_.assign(n, 0);
   mis_union_.clear();
   if (config_.mis_keepalive) {
-    mis_mask_.assign(n, 0);
+    if (partitioned()) mis_mask_.assign(n, 0);
     mis_hear_mask_.assign(n, 0);
+  }
+  if (rng_mode_ == BatchRngMode::kScalarOrder) {
+    mis_lists_.resize(lanes);
+    for (auto& list : mis_lists_) list.clear();
   }
   beep_planes_.clear();
   beep_planes_.reserve(kMaxBeepPlanes);
@@ -145,30 +193,7 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
   round_ = 0;
   first_pass_ = true;
   mis_dirty_ = false;
-  wakeups_pending_ = false;
   failed_.store(false, std::memory_order_relaxed);
-
-  // Stream layout: walking the shards in order, shard s adopts the cursor
-  // as its bulk stream, then takes one jump per lane stream, then one
-  // more jump separates it from shard s+1.  So shard s's bulk is the base
-  // advanced by s·(lanes+1) jumps and every (shard, lane) window is a
-  // disjoint 2^128-output span.  At K = 1 this is exactly
-  // BatchSimulator's kStatisticalLanes seeding (bulk = base, lane l =
-  // base + l+1 jumps), which is what makes the one-shard run a
-  // bit-identity oracle against the batched core.
-  support::Xoshiro256StarStar cursor = std::move(base);
-  for (Shard& shard : shards_) {
-    shard.bulk = cursor;
-    support::Xoshiro256StarStar stream = cursor;
-    shard.rngs.clear();
-    shard.rngs.reserve(lanes);
-    for (unsigned l = 0; l < lanes; ++l) {
-      stream.jump();
-      shard.rngs.push_back(stream);
-    }
-    cursor = stream;
-    cursor.jump();
-  }
 
   for (Shard& shard : shards_) {
     shard.cursor = {};
@@ -191,11 +216,11 @@ LanePlanes ShardedBatchSimulator::run_planes(BatchProtocol& protocol,
     shard.error = nullptr;
   }
 
-  // Serial reset, like every front-end: batched kernels keep per-node
-  // state only, so one reset initialises all shards' slices.  The reset
-  // draws consume shard 0's lane streams — at K = 1 that is exactly the
-  // batched core's reset, and for K > 1 the other shards' streams stay
-  // untouched (their windows are disjoint either way).
+  // Serial reset: batched kernels keep per-node state only, so one reset
+  // initialises all shards' slices.  The reset draws consume shard 0's
+  // lane streams — at K = 1 exactly the scalar reset draws per lane — and
+  // for K > 1 the other shards' streams stay untouched (their windows are
+  // disjoint either way).
   protocol.reset(*graph_, std::span<support::Xoshiro256StarStar>(shards_[0].rngs));
   exchanges_ = protocol.exchanges_per_round();
   if (exchanges_ == 0) throw std::logic_error("protocol declares zero exchanges per round");
@@ -235,12 +260,9 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
   if (!first_pass_) {
     // Merge per-shard MIS joins into the global union.  Joins happen only
     // in the final exchange (kernel contract), so merging at the round
-    // boundary exposes exactly the set the batched core's union holds at
-    // its next round top.  Dedup here (not in join_mis) because a node
-    // can join in different lanes on different shards' rounds... it
-    // cannot — a node lives on one shard — but it can re-join in a later
-    // round after a keep-alive-less healing cycle removed it; the bitmap
-    // keeps the union a set either way.
+    // boundary exposes the union before the next round's first delivery.
+    // A node already in the union can join again in other lanes (later in
+    // the round, or in a later round); the bitmap keeps the union a set.
     for (Shard& shard : shards_) {
       for (const graph::NodeId v : shard.joined) {
         if (!in_mis_union_[v]) {
@@ -265,16 +287,16 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
   // slices.  This is the per-lane analogue of the sharded core's
   // active_total_.
   std::fill(global_active_count_.begin(), global_active_count_.end(), 0u);
-  wakeups_pending_ = false;
+  bool wakeups_pending = false;
   for (const Shard& shard : shards_) {
-    wakeups_pending_ =
-        wakeups_pending_ || shard.cursor.next_wakeup < shard.faults.wakeups.size();
+    wakeups_pending =
+        wakeups_pending || shard.cursor.next_wakeup < shard.faults.wakeups.size();
     for (unsigned l = 0; l < lane_count_; ++l) {
       global_active_count_[l] += shard.active_count[l];
     }
   }
   detail::retire_finished_lanes(round_, config_.run_until_round, config_.max_rounds,
-                                wakeups_pending_, global_active_count_.data(),
+                                wakeups_pending, global_active_count_.data(),
                                 lane_rounds_.data(), running_, terminated_);
   if (running_ != 0) {
     detail::grow_beep_planes(beep_planes_, round_, exchanges_, graph_->node_count());
@@ -295,7 +317,15 @@ void ShardedBatchSimulator::coordinate_exchange_top(unsigned exchange) {
   }
   if (mis_crashed) {
     // A crashed member falls out of every keep-alive frontier the round
-    // it fails, exactly like the batched core's union compaction.
+    // it fails, exactly like the scalar mis_nodes_ compaction.
+    if (rng_mode_ == BatchRngMode::kScalarOrder) {
+      for (LaneMask b = mis_crashed; b != 0; b &= b - 1) {
+        const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+        std::erase_if(mis_lists_[l], [this, l](graph::NodeId v) {
+          return ((inmis_[v] >> l) & 1u) == 0;
+        });
+      }
+    }
     std::erase_if(mis_union_, [this](graph::NodeId v) {
       if (inmis_[v] != 0) return false;
       in_mis_union_[v] = 0;
@@ -309,7 +339,9 @@ void ShardedBatchSimulator::coordinate_exchange_top(unsigned exchange) {
       // mis_mask_ (never remote inmis_) during keep-alive delivery, so
       // a shard already reacting — joining, mutating its own inmis_
       // rows — cannot race a shard still delivering.
-      for (const graph::NodeId v : mis_union_) mis_mask_[v] = inmis_[v];
+      if (partitioned()) {
+        for (const graph::NodeId v : mis_union_) mis_mask_[v] = inmis_[v];
+      }
       for (Shard& shard : shards_) shard.mis_hear_stale = true;
     }
     mis_dirty_ = false;
@@ -318,7 +350,13 @@ void ShardedBatchSimulator::coordinate_exchange_top(unsigned exchange) {
 
 void ShardedBatchSimulator::deliver_shard(Shard& shard, unsigned s) {
   detail::clear_flag_range(heard_.data(), shard.lo, shard.hi, shard.heard_dirty);
-  const auto slice = [this, s](graph::NodeId v) { return partition_.neighbors_in(v, s); };
+  // The neighbours this shard listens to: its partition slice, or the full
+  // adjacency when one unpartitioned shard covers [0, n).
+  const auto listeners_in = [this, s](graph::NodeId v) {
+    return partitioned() ? partition_.neighbors_in(v, s) : graph_->neighbors(v);
+  };
+  // Keep-alive reads the coordinator's snapshot when shards can race.
+  const std::vector<LaneMask>& mis_planes = partitioned() ? mis_mask_ : inmis_;
   if (!lossy_) {
     if (detail::gather_heard(protocol_->reads_heard_only_on_live_frontier(),
                              shard.active.size(), shard.beepers.size())) {
@@ -331,18 +369,21 @@ void ShardedBatchSimulator::deliver_shard(Shard& shard, unsigned s) {
     } else {
       // Local beeps first, then each remote shard's boundary beeps, shards
       // ascending; OR-delivery is idempotent, so the order is free.
-      detail::deliver_planes(shard.beepers, beeped_, slice, heard_, shard.heard_dirty);
+      detail::deliver_planes(shard.beepers, beeped_, listeners_in, heard_, shard.heard_dirty);
       for (unsigned r = 0; r < shards_.size(); ++r) {
         if (r == s) continue;
-        detail::deliver_planes(shards_[r].boundary_beepers, beeped_, slice, heard_,
+        detail::deliver_planes(shards_[r].boundary_beepers, beeped_, listeners_in, heard_,
                                shard.heard_dirty);
       }
     }
     if (config_.mis_keepalive) {
+      // Join order is irrelevant on a reliable channel (no draws), so one
+      // cached (listener, lane-mask) list — re-derived only when some
+      // lane's MIS changed — serves every lane per exchange.
       if (shard.mis_hear_stale) {
         detail::rebuild_mis_hear_planes(
-            mis_union_, [this](graph::NodeId v) { return mis_mask_[v]; }, slice,
-            mis_hear_mask_, shard.mis_hear);
+            mis_union_, [&mis_planes](graph::NodeId v) { return mis_planes[v]; },
+            listeners_in, mis_hear_mask_, shard.mis_hear);
         shard.mis_hear_stale = false;
       }
       detail::apply_mis_hear_planes(shard.mis_hear, mis_hear_mask_, heard_,
@@ -350,26 +391,70 @@ void ShardedBatchSimulator::deliver_shard(Shard& shard, unsigned s) {
     }
     return;
   }
+  if (rng_mode_ == BatchRngMode::kScalarOrder) {
+    deliver_lossy_scalar_order(shard);
+    return;
+  }
   // Statistical lossy delivery: every potential edge delivery into this
   // shard's heard rows draws one bulk Bernoulli plane from *this shard's*
-  // bulk stream — the listener-side partitioning that kills the sharded
-  // core's serial lossy coordinator bottleneck.  Per-listener marginals
-  // do not depend on the order the beeping neighbours are tried, so the
-  // distribution matches the batched core's; only the sample differs,
-  // which is the mode's contract.
+  // bulk stream, instead of popcount(avail) serially dependent per-lane
+  // draws; listener-side partitioning keeps it race-free.  Per-listener
+  // marginals do not depend on the order the beeping neighbours are
+  // tried, and keep-alive needs no join-order iteration either: the union
+  // MIS in merge order has the same per-lane marginals.
   const auto beeped_mask = [this](graph::NodeId v) { return beeped_[v]; };
-  detail::deliver_planes_lossy(shard.beepers, beeped_mask, slice, keep_, shard.bulk,
+  detail::deliver_planes_lossy(shard.beepers, beeped_mask, listeners_in, keep_, shard.bulk,
                                heard_, shard.heard_dirty);
   for (unsigned r = 0; r < shards_.size(); ++r) {
     if (r == s) continue;
-    detail::deliver_planes_lossy(shards_[r].boundary_beepers, beeped_mask, slice, keep_,
-                                 shard.bulk, heard_, shard.heard_dirty);
+    detail::deliver_planes_lossy(shards_[r].boundary_beepers, beeped_mask, listeners_in,
+                                 keep_, shard.bulk, heard_, shard.heard_dirty);
   }
   if (config_.mis_keepalive) {
     const LaneMask running = running_;
     detail::deliver_planes_lossy(
-        mis_union_, [this, running](graph::NodeId v) { return mis_mask_[v] & running; },
-        slice, keep_, shard.bulk, heard_, shard.heard_dirty);
+        mis_union_, [&mis_planes, running](graph::NodeId v) { return mis_planes[v] & running; },
+        listeners_in, keep_, shard.bulk, heard_, shard.heard_dirty);
+  }
+}
+
+void ShardedBatchSimulator::deliver_lossy_scalar_order(Shard& shard) {
+  // Lossy channel, scalar order (one shard, so [lo, hi) = [0, n)): every
+  // potential (beeper -> not-yet-hearing listener) delivery consumes
+  // exactly one Bernoulli draw from that lane's RNG, in the scalar
+  // iteration order (ascending beepers, CSR neighbour order).
+  for (const graph::NodeId v : shard.beepers) {
+    const LaneMask m = beeped_[v];
+    for (const graph::NodeId w : graph_->neighbors(v)) {
+      const LaneMask avail = m & ~heard_[w];
+      if (!avail) continue;
+      LaneMask got = 0;
+      for (LaneMask b = avail; b != 0; b &= b - 1) {
+        const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+        if (shard.rngs[l].bernoulli(keep_)) got |= LaneMask{1} << l;
+      }
+      if (got) {
+        if (!heard_[w]) shard.heard_dirty.push_back(w);
+        heard_[w] |= got;
+      }
+    }
+  }
+  if (!config_.mis_keepalive) return;
+  // Keep-alive draws come after frontier draws and iterate each lane's
+  // live MIS members in that lane's join order — both load-bearing for
+  // scalar parity (see README determinism contract).
+  for (LaneMask lanes = running_; lanes != 0; lanes &= lanes - 1) {
+    const unsigned l = static_cast<unsigned>(std::countr_zero(lanes));
+    const LaneMask bit = LaneMask{1} << l;
+    for (const graph::NodeId v : mis_lists_[l]) {
+      for (const graph::NodeId w : graph_->neighbors(v)) {
+        if (heard_[w] & bit) continue;
+        if (shard.rngs[l].bernoulli(keep_)) {
+          if (!heard_[w]) shard.heard_dirty.push_back(w);
+          heard_[w] |= bit;
+        }
+      }
+    }
   }
 }
 
@@ -406,10 +491,9 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
   ctx.beepers_ = &shard.beepers;
   ctx.beep_planes_ = &beep_planes_;
   ctx.active_count_ = shard.active_count.data();
-  ctx.mis_lists_ = nullptr;  // statistical-only: nothing consumes join order
+  // Only kScalarOrder consumes join order (lossy keep-alive draws).
+  ctx.mis_lists_ = rng_mode_ == BatchRngMode::kScalarOrder ? &mis_lists_ : nullptr;
   ctx.mis_joins_ = &shard.joined;
-  ctx.in_mis_union_ = nullptr;  // dedup happens at the coordinator merge
-  ctx.mis_hear_valid_ = &shard.mis_flag_scratch;
   ctx.reactivated_ = &shard.reactivated;
   ctx.reactivation_counts_ = shard.reactivation_counts.data();
   ctx.running_ = &running_;
@@ -504,8 +588,10 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
     guarded([&] {
       detail::compact_plane_active(shard.active, in_active_, live_);
       if (!shard.reactivated.empty()) {
-        // Round-boundary rule shared with the batched core: a reactivated
-        // node re-enters the frontier unless still on it.
+        // Scalar round-boundary rule: a reactivated node re-enters the
+        // frontier unless it is still on it (live in another lane, or
+        // reactivated twice); compaction above kept it when any live bit
+        // was set.
         for (const graph::NodeId v : shard.reactivated) {
           if (in_active_[v]) continue;
           shard.active.push_back(v);

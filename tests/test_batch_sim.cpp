@@ -1,4 +1,5 @@
-// Batched-lanes contract tests: lane l of a BatchSimulator run must be
+// Batched-lanes contract tests: lane l of a BatchSimulator run (the
+// one-shard lane-plane core, sim/sharded_batch.hpp) must be
 // bit-identical to a scalar BeepSimulator run of the same protocol with the
 // same RNG, and the harness's batched fast path must produce TrialStats
 // identical to the scalar trial loop.  See src/sim/README.md ("Batched
@@ -18,7 +19,7 @@
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
 #include "mis/self_healing_batch.hpp"
-#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 #include "sim/beep.hpp"
 #include "sim/dense_ref.hpp"
 
@@ -340,7 +341,7 @@ TEST(BatchSim, ReactivateGuardsInvalidLanes) {
 
 TEST(BatchSim, ScratchReuseAcrossRunsIsExact) {
   // A rerun on the same BatchSimulator instance (planes and dirty lists
-  // recycled) must match a run on a fresh instance bit-for-bit.
+  // recycled) must match the first run bit-for-bit.
   auto rng = support::Xoshiro256StarStar(12);
   const graph::Graph g = graph::gnp(70, 0.09, rng);
   const sim::SimConfig config = faulty_config(70, 0.2);
@@ -355,6 +356,33 @@ TEST(BatchSim, ScratchReuseAcrossRunsIsExact) {
   const auto second = reused.run(g, protocol, make_rngs());
   for (unsigned l = 0; l < 64; ++l) {
     expect_identical_run(first[l], second[l], "rerun lane");
+  }
+
+  // Rebinding to a *different* graph of the same n takes the O(1) rebind:
+  // it must pick up B's adjacency and keep no state from A, in both rng
+  // modes — a run on A then B matches a fresh instance on B.
+  const graph::Graph other = graph::gnp(70, 0.09, rng);
+  ASSERT_EQ(other.node_count(), g.node_count());
+  ASSERT_NE(other.edge_count(), g.edge_count());
+  const auto on_other = reused.run(other, protocol, make_rngs());
+  sim::BatchSimulator fresh(config);
+  const auto fresh_other = fresh.run(other, protocol, make_rngs());
+  for (unsigned l = 0; l < 64; ++l) {
+    expect_identical_run(fresh_other[l], on_other[l], "rebound lane");
+  }
+
+  const mis::LocalFeedbackMis scalar;
+  const std::unique_ptr<sim::BatchProtocol> kernel =
+      scalar.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
+  ASSERT_NE(kernel, nullptr);
+  sim::BatchSimulator reused_stat(config, sim::BatchRngMode::kStatisticalLanes);
+  (void)reused_stat.run(g, *kernel, support::Xoshiro256StarStar(78), 64);
+  const auto stat_other = reused_stat.run(other, *kernel, support::Xoshiro256StarStar(78), 64);
+  sim::BatchSimulator fresh_stat(config, sim::BatchRngMode::kStatisticalLanes);
+  const auto fresh_stat_other =
+      fresh_stat.run(other, *kernel, support::Xoshiro256StarStar(78), 64);
+  for (unsigned l = 0; l < 64; ++l) {
+    expect_identical_run(fresh_stat_other[l], stat_other[l], "rebound statistical lane");
   }
 }
 

@@ -21,7 +21,7 @@
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
 #include "mis/self_healing.hpp"
-#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 #include "sim/beep.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"

@@ -18,7 +18,7 @@
 #include "mis/local_feedback.hpp"
 #include "mis/self_healing.hpp"
 #include "mis/verifier.hpp"
-#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 #include "sim/beep.hpp"
 #include "sim/sharded.hpp"
 #include "support/rng.hpp"

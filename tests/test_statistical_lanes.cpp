@@ -29,7 +29,7 @@
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
 #include "mis/verifier.hpp"
-#include "sim/batch.hpp"
+#include "sim/sharded_batch.hpp"
 #include "sim/beep.hpp"
 
 namespace beepmis {
