@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "mis/batch_skeleton.hpp"
 
@@ -33,6 +38,46 @@ constexpr std::uint16_t kZeroExponent = 1075;
 /// Bitplane width of the statistical-lanes exponent representation; every
 /// reachable exponent (<= kZeroExponent) fits in 11 bits.
 constexpr unsigned kExpWidth = 11;
+
+#if defined(__x86_64__)
+// GCC 12's AVX-512 headers self-initialise the pass-through operand of
+// unmasked intrinsics (`__m512i __Y = __Y;`), which -Wmaybe-uninitialized
+// then flags at every inlined call (GCC bug 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+/// Scalar-order dyadic feedback for one node: the per-lane exponent rule
+/// of react_feedback as two 32-lane masked add/sub operations.  Only
+/// reached when support::XoshiroLanes::vectorized() holds (the same
+/// AVX-512 F/BW/VL test); lanes outside `live` are neither read nor
+/// written, so `kv` need only hold the bound lanes.
+[[gnu::target("avx512f,avx512bw,avx512vl")]]
+void step_exponents_avx512(std::uint16_t* kv, LaneMask live, LaneMask heard,
+                           std::uint16_t k_min) noexcept {
+  const __m512i one = _mm512_set1_epi16(1);
+  const __m512i zero_exp = _mm512_set1_epi16(static_cast<short>(kZeroExponent));
+  const __m512i floor = _mm512_set1_epi16(static_cast<short>(k_min));
+  for (unsigned half = 0; half < 64; half += 32) {
+    const auto lanes = static_cast<__mmask32>(live >> half);
+    if (lanes == 0) continue;
+    const auto h = static_cast<__mmask32>(heard >> half);
+    const __m512i k = _mm512_maskz_loadu_epi16(lanes, kv + half);
+    const __mmask32 movable = _mm512_mask_cmplt_epu16_mask(lanes, k, zero_exp);
+    const __mmask32 inc = movable & h;
+    const __mmask32 dec = movable & ~h & _mm512_cmpgt_epu16_mask(k, floor);
+    const __m512i up = _mm512_mask_add_epi16(k, inc, k, one);
+    _mm512_mask_storeu_epi16(kv + half, lanes, _mm512_mask_sub_epi16(up, dec, up, one));
+  }
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#else
+void step_exponents_avx512(std::uint16_t*, LaneMask, LaneMask, std::uint16_t) noexcept {
+  std::abort();  // unreachable: XoshiroLanes::vectorized() is false off x86-64
+}
+#endif
 
 }  // namespace
 
@@ -111,6 +156,21 @@ void BatchLocalFeedbackMis::reset_lane_probability(graph::NodeId v, unsigned lan
 }
 
 void BatchLocalFeedbackMis::emit_intent_dyadic(sim::BatchContext& ctx) {
+  if (support::XoshiroLanes::vectorized()) {
+    // The same draws eight lanes per step: every lane's stream still gives
+    // one output per live (node, lane) in ascending node order.
+    support::XoshiroLanes streams(ctx.rngs());
+    for (const graph::NodeId v : ctx.active_nodes()) {
+      const LaneMask live = ctx.live_mask(v);
+      if (!live) continue;
+      winner_[v] = 0;
+      const LaneMask beeps =
+          streams.bernoulli_pow2(live, &k_[static_cast<std::size_t>(v) * lanes_]);
+      if (beeps) ctx.beep(v, beeps);
+    }
+    streams.store(ctx.rngs());
+    return;
+  }
   for (const graph::NodeId v : ctx.active_nodes()) {
     const LaneMask live = ctx.live_mask(v);
     if (!live) continue;
@@ -185,6 +245,7 @@ void BatchLocalFeedbackMis::emit(sim::BatchContext& ctx) {
 }
 
 void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
+  const bool lane_parallel = support::XoshiroLanes::vectorized();
   const bool hetero_factor = !factor_.empty();
   const double uniform_factor = config_.factor_low;
   for (const graph::NodeId v : ctx.active_nodes()) {
@@ -213,6 +274,10 @@ void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
       // Exponent form of the feedback rule: /2 is k+1 (sticking at exact
       // zero), *2-capped-at-max_p is k-1 floored at k_min.
       std::uint16_t* kv = &k_[base];
+      if (lane_parallel) {
+        step_exponents_avx512(kv, live, heard, k_min_);
+        continue;
+      }
       for (LaneMask b = live; b != 0; b &= b - 1) {
         const unsigned l = lowest_lane(b);
         std::uint16_t& k = kv[l];

@@ -18,12 +18,12 @@ void BatchContext::join_mis(graph::NodeId v, LaneMask lanes) {
   }
   (*live_)[v] &= ~lanes;
   (*inmis_)[v] |= lanes;
-  for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-    --active_count_[l];
-    // Per-lane join order, like the scalar core (consumed by kScalarOrder
-    // lossy keep-alive; absent in kStatisticalLanes).
-    if (mis_lists_ != nullptr) (*mis_lists_)[l].push_back(v);
+  // Per-lane join order, like the scalar core (consumed by kScalarOrder
+  // lossy keep-alive; absent in kStatisticalLanes).
+  if (mis_lists_ != nullptr) {
+    for (LaneMask b = lanes; b != 0; b &= b - 1) {
+      (*mis_lists_)[std::countr_zero(b)].push_back(v);
+    }
   }
   mis_joins_->push_back(v);
 }
@@ -38,9 +38,6 @@ void BatchContext::deactivate(graph::NodeId v, LaneMask lanes) {
   }
   (*live_)[v] &= ~lanes;
   (*dominated_)[v] |= lanes;
-  for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    --active_count_[std::countr_zero(b)];
-  }
 }
 
 void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
@@ -59,11 +56,7 @@ void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
   }
   (*dominated_)[v] &= ~lanes;
   (*live_)[v] |= lanes;
-  for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-    ++active_count_[l];
-    ++reactivation_counts_[l];
-  }
+  for (LaneMask b = lanes; b != 0; b &= b - 1) ++reactivation_counts_[std::countr_zero(b)];
   reactivated_->push_back(v);
 }
 

@@ -108,6 +108,9 @@ class BatchContext {
   [[nodiscard]] support::Xoshiro256StarStar& rng(unsigned lane) noexcept {
     return (*rngs_)[lane];
   }
+  /// Every lane's stream at once (rngs()[l] is rng(l)), for kernels that
+  /// step lanes side by side (support::XoshiroLanes).
+  [[nodiscard]] std::span<support::Xoshiro256StarStar> rngs() noexcept { return *rngs_; }
 
   /// The simulator's draw-entropy mode; kernels that vectorise draws must
   /// branch on this (the bulk-plane APIs below throw in kScalarOrder).
@@ -142,7 +145,7 @@ class BatchContext {
 
   // The context is a bundle of direct pointers into the engine's
   // bookkeeping (no simulator backpointer): one per shard, pointing the
-  // mutable lists (beepers, joins, reactivations, active counts) at
+  // mutable lists (beepers, joins, reactivations) at
   // per-shard storage while the planes stay global (each shard writes
   // only its own [lo, hi) rows).
   const graph::Graph* graph_ = nullptr;
@@ -157,7 +160,6 @@ class BatchContext {
   /// Bit-sliced beep counters (LanePlanes::beep_planes); the engine
   /// grows them at round boundaries, shards write only their own rows.
   std::vector<std::vector<LaneMask>>* beep_planes_ = nullptr;
-  std::uint32_t* active_count_ = nullptr;  ///< per-lane, this context's slice
   /// Per-lane live-MIS join-order lists; nullptr in kStatisticalLanes,
   /// where nothing consumes join order.
   std::vector<std::vector<graph::NodeId>>* mis_lists_ = nullptr;

@@ -268,8 +268,7 @@ void extend_mis_hear(const std::vector<graph::NodeId>& mis_nodes, std::size_t fr
 /// planes — the lane-plane analogue of apply_fault_events.  Wakes add
 /// running-and-not-crashed lanes to the live plane (and the union active
 /// list); crashes hit every not-yet-crashed running lane, dropping it from
-/// the live / in-MIS / dominated planes.  `active_count[l]` tracks the
-/// caller's slice of lane l's active-list size.  Returns the lanes in
+/// the live / in-MIS / dominated planes.  Returns the lanes in
 /// which some MIS member fail-stopped; the caller prunes whatever
 /// join-order bookkeeping it maintains (per-lane lists in the batched
 /// front-end, the shared union list at the sharded coordinator).
@@ -277,8 +276,7 @@ inline LaneMask apply_plane_fault_events(
     const FaultSchedule& sched, FaultCursor& cursor, std::size_t round, LaneMask running,
     std::vector<LaneMask>& live, std::vector<LaneMask>& inmis,
     std::vector<LaneMask>& dominated, std::vector<LaneMask>& crashed,
-    std::vector<graph::NodeId>& active, std::vector<std::uint8_t>& in_active,
-    std::uint32_t* active_count) {
+    std::vector<graph::NodeId>& active, std::vector<std::uint8_t>& in_active) {
   bool active_dirty = false;
   while (cursor.next_wakeup < sched.wakeups.size() &&
          sched.wakeups[cursor.next_wakeup].first <= round) {
@@ -288,9 +286,6 @@ inline LaneMask apply_plane_fault_events(
     const LaneMask add = running & ~crashed[v];
     if (!add) continue;
     live[v] |= add;
-    for (LaneMask b = add; b != 0; b &= b - 1) {
-      ++active_count[std::countr_zero(b)];
-    }
     if (!in_active[v]) {
       in_active[v] = 1;
       active.push_back(v);
@@ -307,13 +302,7 @@ inline LaneMask apply_plane_fault_events(
     const LaneMask hit = running & ~crashed[v];
     if (!hit) continue;
     crashed[v] |= hit;
-    const LaneMask hit_live = hit & live[v];
-    if (hit_live) {
-      live[v] &= ~hit_live;
-      for (LaneMask b = hit_live; b != 0; b &= b - 1) {
-        --active_count[std::countr_zero(b)];
-      }
-    }
+    live[v] &= ~hit;
     const LaneMask hit_mis = hit & inmis[v];
     if (hit_mis) {
       inmis[v] &= ~hit_mis;
@@ -325,45 +314,41 @@ inline LaneMask apply_plane_fault_events(
 }
 
 /// Round-boundary compaction of a union active frontier: drops ids whose
-/// live plane went empty, clearing their membership bits.
-inline void compact_plane_active(std::vector<graph::NodeId>& active,
-                                 std::vector<std::uint8_t>& in_active,
-                                 const std::vector<LaneMask>& live) {
+/// live plane went empty, clearing their membership bits.  Returns the OR
+/// of the kept live planes — the lanes whose active list (this range's
+/// slice of it) is nonempty, which is all lane retirement needs.
+inline LaneMask compact_plane_active(std::vector<graph::NodeId>& active,
+                                     std::vector<std::uint8_t>& in_active,
+                                     const std::vector<LaneMask>& live) {
+  LaneMask nonempty = 0;
   std::erase_if(active, [&](graph::NodeId v) {
+    nonempty |= live[v];
     if (live[v] != 0) return false;
     in_active[v] = 0;
     return true;
   });
+  return nonempty;
 }
 
 /// Per-lane mirror of the scalar while-condition, evaluated at the top of
 /// each round: a lane leaves the loop (freezing its planes and RNG) exactly
-/// when its scalar run would.  `active_count[l]` must be lane l's *global*
-/// active-list size (the sharded coordinator sums its shards' slices first)
-/// and `wakeups_pending` whether any wake event remains unfired anywhere.
+/// when its scalar run would.  `active_lanes` must be the lanes whose
+/// *global* active list is nonempty (bit l set iff some node is live in
+/// lane l; the coordinator ORs its shards' compaction results) and
+/// `wakeups_pending` whether any wake event remains unfired anywhere.
 inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round,
                                   std::size_t max_rounds, bool wakeups_pending,
-                                  const std::uint32_t* active_count,
-                                  std::size_t* lane_rounds, LaneMask& running,
-                                  LaneMask& terminated) {
+                                  LaneMask active_lanes, std::size_t* lane_rounds,
+                                  LaneMask& running, LaneMask& terminated) {
   if (!wakeups_pending && round >= run_until_round) {
-    LaneMask done = 0;
-    for (LaneMask b = running; b != 0; b &= b - 1) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-      if (active_count[l] == 0) {
-        done |= LaneMask{1} << l;
-        lane_rounds[l] = round;
-      }
-    }
+    const LaneMask done = running & ~active_lanes;
+    for (LaneMask b = done; b != 0; b &= b - 1) lane_rounds[std::countr_zero(b)] = round;
     terminated |= done;
     running &= ~done;
   }
   if (round >= max_rounds) {
-    for (LaneMask b = running; b != 0; b &= b - 1) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-      lane_rounds[l] = round;
-      if (active_count[l] == 0 && !wakeups_pending) terminated |= LaneMask{1} << l;
-    }
+    for (LaneMask b = running; b != 0; b &= b - 1) lane_rounds[std::countr_zero(b)] = round;
+    if (!wakeups_pending) terminated |= running & ~active_lanes;
     running = 0;
   }
 }

@@ -186,7 +186,6 @@ LanePlanes ShardedBatchSimulator::run_lanes(BatchProtocol& protocol, unsigned la
   beep_planes_.clear();
   beep_planes_.reserve(kMaxBeepPlanes);
   lane_rounds_.assign(lanes, 0);
-  global_active_count_.assign(lanes, 0);
   reactivation_totals_.assign(lanes, 0);
   running_ = all_lanes;
   terminated_ = 0;
@@ -211,7 +210,7 @@ LanePlanes ShardedBatchSimulator::run_lanes(BatchProtocol& protocol, unsigned la
     shard.reactivated.clear();
     shard.mis_hear.clear();
     shard.mis_hear_stale = true;
-    shard.active_count.assign(lanes, static_cast<std::uint32_t>(shard.active.size()));
+    shard.active_lanes = shard.active.empty() ? 0 : all_lanes;
     shard.reactivation_counts.assign(lanes, 0);
     shard.error = nullptr;
   }
@@ -283,21 +282,19 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
                        std::to_string(round_));
   }
 
-  // Lane retirement needs lane-global active counts; sum the shard
-  // slices.  This is the per-lane analogue of the sharded core's
-  // active_total_.
-  std::fill(global_active_count_.begin(), global_active_count_.end(), 0u);
+  // Lane retirement needs the lanes whose global active list is
+  // nonempty: the OR of the shards' compaction results (the per-lane
+  // analogue of the sharded core's active_total_ != 0).
+  LaneMask active_lanes = 0;
   bool wakeups_pending = false;
   for (const Shard& shard : shards_) {
     wakeups_pending =
         wakeups_pending || shard.cursor.next_wakeup < shard.faults.wakeups.size();
-    for (unsigned l = 0; l < lane_count_; ++l) {
-      global_active_count_[l] += shard.active_count[l];
-    }
+    active_lanes |= shard.active_lanes;
   }
   detail::retire_finished_lanes(round_, config_.run_until_round, config_.max_rounds,
-                                wakeups_pending, global_active_count_.data(),
-                                lane_rounds_.data(), running_, terminated_);
+                                wakeups_pending, active_lanes, lane_rounds_.data(),
+                                running_, terminated_);
   if (running_ != 0) {
     detail::grow_beep_planes(beep_planes_, round_, exchanges_, graph_->node_count());
   }
@@ -490,7 +487,6 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
   ctx.heard_ = &heard_;
   ctx.beepers_ = &shard.beepers;
   ctx.beep_planes_ = &beep_planes_;
-  ctx.active_count_ = shard.active_count.data();
   // Only kScalarOrder consumes join order (lossy keep-alive draws).
   ctx.mis_lists_ = rng_mode_ == BatchRngMode::kScalarOrder ? &mis_lists_ : nullptr;
   ctx.mis_joins_ = &shard.joined;
@@ -527,7 +523,7 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
       BEEPMIS_STM_START(faults);
       shard.mis_crashed = detail::apply_plane_fault_events(
           shard.faults, shard.cursor, round_, running_, live_, inmis_, dominated_,
-          crashed_, shard.active, in_active_, shard.active_count.data());
+          crashed_, shard.active, in_active_);
       BEEPMIS_STM_STOP(faults);
     });
     sync_->arrive_and_wait();  // fault outcomes visible to the coordinator
@@ -586,7 +582,7 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
     }
 
     guarded([&] {
-      detail::compact_plane_active(shard.active, in_active_, live_);
+      shard.active_lanes = detail::compact_plane_active(shard.active, in_active_, live_);
       if (!shard.reactivated.empty()) {
         // Scalar round-boundary rule: a reactivated node re-enters the
         // frontier unless it is still on it (live in another lane, or
@@ -596,6 +592,7 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
           if (in_active_[v]) continue;
           shard.active.push_back(v);
           in_active_[v] = 1;
+          shard.active_lanes |= live_[v];
         }
         std::sort(shard.active.begin(), shard.active.end());
         shard.reactivated.clear();

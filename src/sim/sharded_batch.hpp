@@ -23,9 +23,9 @@
 //   react    each shard runs the kernel's react over its own slice
 //            (BatchContext::node_begin/node_end is the shard range);
 //   merge    at round boundaries the coordinator (shard 0) merges
-//            per-shard MIS joins into the global union, sums per-shard
-//            active counts and retires finished lanes with the shared
-//            detail::retire_finished_lanes.
+//            per-shard MIS joins into the global union, ORs the
+//            shards' nonempty-lane masks and retires finished lanes with
+//            the shared detail::retire_finished_lanes.
 //
 // At K = 1 the lone shard covers [0, n), builds no partition and reads
 // the full adjacency; a lone worker runs inline, so no thread is spawned.
@@ -179,7 +179,9 @@ class ShardedBatchSimulator {
     /// writes per shard).
     std::vector<graph::NodeId> mis_hear;
     bool mis_hear_stale = true;
-    std::vector<std::uint32_t> active_count;         ///< per lane, this slice
+    /// Lanes live at some node of `active` (OR of its live planes), as of
+    /// the last round-end compaction; lane retirement reads the union.
+    LaneMask active_lanes = 0;
     std::vector<std::uint64_t> reactivation_counts;  ///< per lane, this slice
     support::Xoshiro256StarStar bulk{0};
     std::vector<support::Xoshiro256StarStar> rngs;
@@ -241,7 +243,6 @@ class ShardedBatchSimulator {
   /// barriers, into capacity reserved per run.
   std::vector<std::vector<LaneMask>> beep_planes_;
   std::vector<std::size_t> lane_rounds_;
-  std::vector<std::uint32_t> global_active_count_;   ///< coordinator's per-lane sums
   std::vector<std::uint64_t> reactivation_totals_;   ///< summed over shards
   LaneMask running_ = 0;     ///< lanes still executing their round loop
   LaneMask terminated_ = 0;  ///< lanes that finished with an empty active set

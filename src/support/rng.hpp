@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace beepmis::support {
 
@@ -46,6 +47,15 @@ class Xoshiro256StarStar {
   explicit constexpr Xoshiro256StarStar(std::uint64_t seed = 1) noexcept : state_{} {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64_next(sm);
+  }
+
+  /// Adopts a raw 256-bit state (not all zero), e.g. one that makes the
+  /// next output a chosen value.
+  [[nodiscard]] static constexpr Xoshiro256StarStar from_state(
+      const std::array<std::uint64_t, 4>& state) noexcept {
+    Xoshiro256StarStar rng;
+    rng.state_ = state;
+    return rng;
   }
 
   [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
@@ -100,8 +110,9 @@ class Xoshiro256StarStar {
   /// to 0.0 and the draw can never fire (the output is still consumed,
   /// like bernoulli(0.0)).  The uniform01 mantissa (x >> 11) * 2^-53 is
   /// below 2^-k iff its top 53-k bits are all zero, so the whole draw is
-  /// one integer shift/compare; the batched dyadic kernels rely on this
-  /// being the single source of that endpoint behaviour.  Deliberately
+  /// one integer shift/compare.  This and its lane-parallel twin
+  /// XoshiroLanes::bernoulli_pow2 (below) are the only sources of that
+  /// endpoint behaviour; the batched dyadic kernels call them.  Deliberately
   /// branchless: the outcome is a coin flip, so a data dependency beats a
   /// guaranteed-mispredicting branch in the kernel hot loops.
   [[nodiscard]] bool bernoulli_pow2(unsigned k) noexcept {
@@ -129,11 +140,45 @@ class Xoshiro256StarStar {
   }
 
  private:
+  friend class XoshiroLanes;
+
   [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
   std::array<std::uint64_t, 4> state_;
+};
+
+/// Up to 64 xoshiro256** streams stepped side by side: the lane-parallel
+/// form of Xoshiro256StarStar::bernoulli_pow2 for kernels that draw once
+/// per (node, lane).  The states are held as structure-of-arrays — row i
+/// holds word i of every lane's state, unused lane slots zeroed — so eight
+/// lanes step in one AVX-512 register under a lane k-mask.  Each lane's
+/// stream advances exactly as its scalar generator would: one output per
+/// requested draw, with the same endpoint rule, so loading, drawing and
+/// storing back is bit-identical to calling bernoulli_pow2 lane by lane.
+class XoshiroLanes {
+ public:
+  /// Whether this CPU runs the AVX-512 (F, BW, VL) draw path; decided once
+  /// per process.  Callers keep their per-lane loop for the false case.
+  [[nodiscard]] static bool vectorized() noexcept;
+
+  /// Loads rngs[l] into lane l (rngs.size() <= 64).
+  explicit XoshiroLanes(std::span<const Xoshiro256StarStar> rngs) noexcept;
+
+  /// Writes lane l's state back to rngs[l] (the span the block was loaded
+  /// from, or one of the same length).
+  void store(std::span<Xoshiro256StarStar> rngs) const noexcept;
+
+  /// For every lane l in `lanes` (loaded lanes only), one output of lane
+  /// l's stream decides bernoulli_pow2(k[l]); returns the mask of lanes
+  /// that fired.  Lanes outside `lanes` neither step nor read k[l], so `k`
+  /// need only be valid at requested lanes.  Requires vectorized().
+  [[nodiscard]] std::uint64_t bernoulli_pow2(std::uint64_t lanes,
+                                             const std::uint16_t* k) noexcept;
+
+ private:
+  alignas(64) std::uint64_t s_[4][64];
 };
 
 /// Hierarchical seed derivation: experiments address their randomness as

@@ -100,7 +100,7 @@ sim::SimConfig faulty_config(graph::NodeId n, double loss) {
 TEST(BatchSim, LanesMatchScalarLossless) {
   auto rng = support::Xoshiro256StarStar(7);
   const graph::Graph g = graph::gnp(80, 0.08, rng);
-  for (const unsigned lanes : {1u, 7u, 64u}) {
+  for (const unsigned lanes : {1u, 7u, 9u, 33u, 63u, 64u}) {
     expect_batch_matches_scalar(g, sim::SimConfig{}, lanes, 1000 + lanes);
   }
 }
@@ -111,7 +111,7 @@ TEST(BatchSim, LanesMatchScalarLossy) {
   sim::SimConfig config;
   config.beep_loss_probability = 0.3;
   config.max_rounds = 400;
-  for (const unsigned lanes : {1u, 7u, 64u}) {
+  for (const unsigned lanes : {1u, 7u, 9u, 33u, 63u, 64u}) {
     expect_batch_matches_scalar(g, config, lanes, 2000 + lanes);
   }
 }
@@ -119,7 +119,7 @@ TEST(BatchSim, LanesMatchScalarLossy) {
 TEST(BatchSim, LanesMatchScalarWithCrashWakeupKeepalive) {
   auto rng = support::Xoshiro256StarStar(9);
   const graph::Graph g = graph::gnp(84, 0.07, rng);
-  for (const unsigned lanes : {1u, 7u, 64u}) {
+  for (const unsigned lanes : {1u, 7u, 9u, 33u, 63u, 64u}) {
     expect_batch_matches_scalar(g, faulty_config(84, 0.0), lanes, 3000 + lanes);
     expect_batch_matches_scalar(g, faulty_config(84, 0.15), lanes, 4000 + lanes);
   }

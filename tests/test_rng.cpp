@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -177,6 +178,89 @@ TEST(Xoshiro, BernoulliPow2MatchesFloatingBernoulliEverywhere) {
     }
     EXPECT_EQ(a.state(), b.state()) << "k=" << k;  // same number of outputs consumed
   }
+}
+
+/// Inverse of x -> x * a mod 2^64 for odd a (Newton's iteration).
+constexpr std::uint64_t odd_inverse(std::uint64_t a) {
+  std::uint64_t inv = a;
+  for (int i = 0; i < 6; ++i) inv *= 2 - a * inv;
+  return inv;
+}
+
+/// The s1 word that makes xoshiro256**'s next output `out`
+/// (out = rotl(s1 * 5, 7) * 9).
+constexpr std::uint64_t s1_for_output(std::uint64_t out) {
+  return std::rotr(out * odd_inverse(9), 7) * odd_inverse(5);
+}
+
+TEST(XoshiroLanes, Pow2DrawsMatchScalarLoop) {
+  // The lane-parallel draws must fire on exactly the lanes the scalar
+  // bernoulli_pow2 loop fires on and leave every stream where that loop
+  // leaves it: one output per requested lane, none for the others.  Lane
+  // counts cover partial 8-lane groups; k covers the granularity edge
+  // (52..54), the shift-by-64 end (k = 0) and the underflow (>= 1075).
+  // Random outputs almost never land near 2^-k for large k, so half the
+  // lanes get a state whose next output sits on the edge of its k's
+  // threshold (mantissa 2^(53-k) - 1 or 2^(53-k); 0 or 1 for k >= 53).
+  if (!XoshiroLanes::vectorized()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/BW/VL; the scalar loop is the only path";
+  }
+  std::vector<std::uint16_t> ks;
+  for (std::uint16_t k = 0; k <= 64; ++k) ks.push_back(k);
+  for (std::uint16_t k = 1072; k <= 1076; ++k) ks.push_back(k);
+  Xoshiro256StarStar pick(77);
+  std::uint64_t fired_total = 0;
+  for (const unsigned lanes : {1u, 7u, 9u, 33u, 63u, 64u}) {
+    const std::uint64_t all = lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    std::vector<Xoshiro256StarStar> scalar;
+    for (unsigned l = 0; l < lanes; ++l) scalar.emplace_back(pick());
+    std::vector<Xoshiro256StarStar> vector_side = scalar;
+    std::vector<std::uint16_t> k(lanes);
+    for (int step = 0; step < 3000; ++step) {
+      // Full, random and sparse lane subsets (sparse ones leave whole
+      // 8-lane groups unrequested).
+      std::uint64_t mask = all;
+      if (step % 3 == 1) mask = pick() & all;
+      if (step % 3 == 2) mask = pick() & pick() & pick() & all;
+      for (unsigned l = 0; l < lanes; ++l) {
+        k[l] = ks[pick.below(ks.size())];
+        if (pick() & 1u) continue;
+        const unsigned edge = k[l] < 53 ? 53 - k[l] : 0;
+        std::uint64_t mantissa = (std::uint64_t{1} << edge) - (pick() & 1u);
+        if (mantissa >> 53) mantissa -= 1;  // k = 0: 2^53 is out of range
+        auto state = scalar[l].state();
+        state[1] = s1_for_output((mantissa << 11) | (pick() & 0x7ffu));
+        scalar[l] = vector_side[l] = Xoshiro256StarStar::from_state(state);
+      }
+      std::uint64_t expected = 0;
+      for (unsigned l = 0; l < lanes; ++l) {
+        if ((mask >> l) & 1u) {
+          expected |= std::uint64_t{scalar[l].bernoulli_pow2(k[l])} << l;
+        }
+      }
+      XoshiroLanes block(vector_side);
+      const std::uint64_t got = block.bernoulli_pow2(mask, k.data());
+      block.store(vector_side);
+      ASSERT_EQ(got, expected) << "lanes=" << lanes << " step=" << step;
+      for (unsigned l = 0; l < lanes; ++l) {
+        ASSERT_EQ(vector_side[l].state(), scalar[l].state())
+            << "lanes=" << lanes << " step=" << step << " l=" << l;
+      }
+      fired_total += static_cast<std::uint64_t>(std::popcount(got));
+    }
+  }
+  EXPECT_GT(fired_total, 0u);
+}
+
+TEST(Xoshiro, FromStateAdoptsTheState) {
+  Xoshiro256StarStar a(5);
+  (void)a();
+  Xoshiro256StarStar b = Xoshiro256StarStar::from_state(a.state());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a(), b());
+  auto state = a.state();
+  state[1] = s1_for_output(0x1234);
+  EXPECT_EQ(Xoshiro256StarStar::from_state(state)(), 0x1234u);
 }
 
 TEST(SeedSequence, ChildrenAreDistinctAndStable) {
