@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
               "print the canonical serialized spec and fingerprint for the given "
               "flags (or --spec) instead of running");
   options.add("dot-out", "", "write DOT with highlighted MIS to this file (trial 0)");
-  options.add("edge-list", "", "read the graph from an edge-list file instead");
   options.add("csv", "false", "print one CSV row per trial");
   options.add("list", "false", "list graph families and algorithms");
   if (!options.parse(argc, argv)) {
@@ -169,22 +168,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string edge_list_path = options.get("edge-list");
   graph::Graph g;
-  if (!edge_list_path.empty()) {
-    std::ifstream in(edge_list_path);
-    if (!in) {
-      std::cerr << "cannot open " << edge_list_path << '\n';
-      return 1;
-    }
-    g = graph::read_edge_list(in);
-  } else {
-    try {
-      g = cli::make_graph(gspec);
-    } catch (const std::exception& e) {
-      std::cerr << "beepmis_cli: " << e.what() << '\n';
-      return 1;
-    }
+  try {
+    g = cli::make_graph(gspec);
+  } catch (const std::exception& e) {
+    std::cerr << "beepmis_cli: " << e.what() << '\n';
+    return 1;
   }
 
   cli::AlgorithmSpec aspec;
@@ -231,11 +220,6 @@ int main(int argc, char** argv) {
       if (!spec_text.empty()) {
         spec = cli::parse_sweep_spec(spec_text);
       } else {
-        if (!edge_list_path.empty()) {
-          throw std::invalid_argument(
-              "--journal/--budget sweeps need a generated graph spec (the journal's "
-              "request hash covers the graph parameters); --edge-list is unsupported");
-        }
         spec.graph = gspec;
         spec.algorithm = aspec;
         spec.trials = trials;

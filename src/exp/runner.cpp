@@ -196,7 +196,7 @@ TrialStats aggregate_chunk(const std::vector<TrialRecord>& records, std::size_t 
 
 /// Shared mutable state of one sweep invocation: the chunk ledger, the
 /// journal, and the stop signals.  Created by run_beep_trials /
-/// run_local_trials and threaded through every execution path.
+/// run_local_trials and read by the work-unit loop (run_units).
 struct SweepState {
   const TrialConfig* config = nullptr;
   std::size_t chunk_size = 0;
@@ -273,34 +273,31 @@ TrialStats assemble(SweepState& sweep) {
 /// The journal's request key: every knob of the sweep the harness can see
 /// that affects the numeric result, plus the caller's fingerprint for
 /// everything it cannot (graph family, protocol, scenario parameters).
-/// Thread count is deliberately excluded — results are thread-count
-/// independent, so a sweep may be resumed with different parallelism.
-std::uint64_t compute_request_hash(const TrialConfig& c, bool local, std::size_t chunk_size,
-                                   unsigned sharded_batch_k) {
+/// `plan` is null for a LOCAL-model sweep.  Thread count is deliberately
+/// excluded — results are thread-count independent, so a sweep may be
+/// resumed with different parallelism.
+std::uint64_t compute_request_hash(const TrialConfig& c, const SweepPlan* plan,
+                                   std::size_t chunk_size) {
   support::StableHash h;
-  h.update(local ? "beepmis-local-sweep-v1" : "beepmis-beep-sweep-v1");
+  h.update(plan == nullptr ? "beepmis-local-sweep-v1" : "beepmis-beep-sweep-v1");
   h.update_u64(c.request_fingerprint);
   h.update_u64(c.trials);
   h.update_u64(c.base_seed);
-  // Execution-path knobs (allow_batched, allow_sharded, shards) are
-  // excluded like the thread count: every path draws in scalar order and
-  // is bit-identical, so a journal written by a scalar run may be finished
-  // by a batched or sharded one.  The one path choice that *does* change
-  // the numbers is the statistical-lanes entropy policy, which engages
-  // exactly when the batched path's preconditions hold — hash that
-  // effective bit, not the raw knobs.
-  const bool statistical = c.rng_mode == sim::BatchRngMode::kStatisticalLanes &&
-                           c.allow_batched && c.shared_graph && !c.sim.record_trace &&
-                           c.shards <= 1;
-  h.update_u64(statistical ? 1 : 0);
-  // The sharded-batched path partitions the statistical streams per
-  // (shard, lane), so its sample depends on the effective shard count —
-  // hash it (0 = path disengaged).  Auto-selected counts follow the
-  // thread count, so a sharded-batched journal resumed on a different
-  // core count is rejected whole and the sweep restarts: correct, just
-  // not incremental.  Pin TrialConfig::shards explicitly to keep resumes
-  // incremental across machines.
-  h.update_u64(sharded_batch_k);
+  // Engine knobs (allow_batched, allow_sharded, shards) are excluded like
+  // the thread count: every scalar-order engine is bit-identical, so a
+  // journal written by one may be finished by another.  What the plan
+  // decides about the sample is hashed instead: statistical lanes, and at
+  // K >= 2 the shard count, since those streams are partitioned per
+  // (shard, lane).  An auto K follows the thread count, so such a journal
+  // resumed on another core count is rejected whole and the sweep
+  // restarts: correct, just not incremental (pin TrialConfig::shards to
+  // keep it incremental).  An explicit K >= 2 has always been keyed by
+  // its shard count alone, with the statistical bit clear; keeping that
+  // keeps those journals resumable.
+  const bool statistical = plan != nullptr && plan->statistical;
+  const unsigned sharded_k = statistical && plan->shards >= 2 ? plan->shards : 0;
+  h.update_u64(statistical && (sharded_k == 0 || c.shards == 0) ? 1 : 0);
+  h.update_u64(sharded_k);
   h.update_u64(c.shared_graph ? 1 : 0);
   h.update_u64(chunk_size);
   h.update_u64(c.sim.max_rounds);
@@ -332,21 +329,10 @@ void validate_sweep_config(const TrialConfig& config, const char* who) {
   }
 }
 
-/// Rounds the checkpoint interval up to a multiple of the batched
-/// simulator's lane count so chunk boundaries coincide with batch
-/// boundaries: the statistical-lanes mode keys each 64-trial batch's RNG
-/// stream by its first trial index, so chunks must contain whole batches
-/// for resumed runs to replay the exact same batches.
-std::size_t effective_chunk_size(const TrialConfig& config) {
-  return effective_checkpoint_interval(config.checkpoint_interval);
-}
-
-void init_sweep(SweepState& sweep, const TrialConfig& config, bool local,
-                unsigned sharded_batch_k = 0) {
+void init_sweep(SweepState& sweep, const TrialConfig& config, const SweepPlan* plan) {
   sweep.config = &config;
-  sweep.chunk_size = effective_chunk_size(config);
-  sweep.num_chunks =
-      config.trials == 0 ? 0 : (config.trials + sweep.chunk_size - 1) / sweep.chunk_size;
+  sweep.chunk_size = effective_checkpoint_interval(config.checkpoint_interval);
+  sweep.num_chunks = checkpoint_chunk_count(config.trials, config.checkpoint_interval);
   sweep.records.resize(config.trials);
   sweep.chunk_stats.resize(sweep.num_chunks);
   sweep.remaining = std::make_unique<std::atomic<std::size_t>[]>(sweep.num_chunks);
@@ -354,8 +340,7 @@ void init_sweep(SweepState& sweep, const TrialConfig& config, bool local,
     sweep.remaining[i].store(0, std::memory_order_relaxed);
   }
   if (!config.journal_path.empty()) {
-    const std::uint64_t request =
-        compute_request_hash(config, local, sweep.chunk_size, sharded_batch_k);
+    const std::uint64_t request = compute_request_hash(config, plan, sweep.chunk_size);
     sweep.journal = std::make_unique<SweepJournal>(config.journal_path, request, config.trials,
                                                    sweep.chunk_size);
     std::vector<JournalChunk> resumed;
@@ -419,362 +404,157 @@ AttemptOutcome run_with_isolation(const TrialConfig& config, const DeadlinePtr& 
   }
 }
 
-void quarantine_record(TrialRecord& rec, const AttemptOutcome& outcome) {
-  rec = TrialRecord{};  // drop any partial metrics from the failed attempt
-  rec.status = TrialRecord::Status::kQuarantined;
-  rec.attempts = outcome.attempts;
-  rec.error = outcome.error;
-}
-
-/// Shared trial-loop machinery.  `make_runner(deadline)` is invoked once
-/// per worker thread and returns a `run_one(graph, run_rng) -> RunResult`
-/// callable that owns that worker's simulator (and protocol) instance;
-/// reusing it across trials amortises all per-node scratch allocations.
-/// Results are unaffected: a run is a pure function of (graph, protocol,
-/// seed).  Workers claim individual trials (trial-granular load balance)
-/// but aggregate per chunk: the worker that completes a chunk's last
-/// pending trial checkpoints it.
+/// The one work loop behind every engine.  A work unit is up to `unit`
+/// consecutive trials of a chunk the journal has not restored — one trial,
+/// or one lane batch; chunks hold whole batches, so no unit straddles two.
+/// `make_runner(deadline)` is called once per worker and returns
+/// `run(first, last)`, which fills records [first, last) with the worker's
+/// own simulator and protocol, reused across units (a run is a pure
+/// function of graph, protocol and seed, so reuse only saves allocations).
+/// Workers check the stop signals before every claim, so a stop truncates
+/// at unit boundaries; a unit that exhausts its retries quarantines all of
+/// its trials; the worker that finishes a chunk's last unit checkpoints it.
 template <typename MakeRunner>
-void run_trials_chunked(const GraphFactory& graphs, const TrialConfig& config,
-                        SweepState& sweep, MakeRunner&& make_runner) {
-  const support::SeedSequence root(config.base_seed);
-
-  // When the graph is shared, build it once up front from trial 0's seed.
-  graph::Graph shared;
-  if (config.shared_graph) {
-    auto rng = root.child(0).child(0).generator();
-    shared = graphs(rng);
-  }
-
-  // Pending trials: every trial of every not-yet-completed chunk (resumed
-  // chunks are skipped whole).
-  std::vector<std::size_t> pending;
-  pending.reserve(config.trials);
-  for (std::size_t chunk = 0; chunk < sweep.num_chunks; ++chunk) {
-    if (sweep.chunk_stats[chunk] != nullptr) continue;
-    const std::size_t first = sweep.chunk_first(chunk);
-    const std::size_t last = sweep.chunk_last(chunk);
-    sweep.remaining[chunk].store(last - first, std::memory_order_relaxed);
-    for (std::size_t t = first; t < last; ++t) pending.push_back(t);
-  }
-  std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    const DeadlinePtr deadline = make_trial_deadline(config);
-    auto run_one = make_runner(deadline);
-    for (;;) {
-      if (sweep.should_stop()) break;
-      const std::size_t i = next.fetch_add(1);
-      if (i >= pending.size()) break;
-      const std::size_t trial = pending[i];
-
-      const support::SeedSequence trial_seed = root.child(trial);
-      TrialRecord& rec = sweep.records[trial];
-      graph::Graph own;
-      const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-        const graph::Graph* g = &shared;
-        if (!config.shared_graph) {
-          auto graph_rng = trial_seed.child(0).generator();
-          own = graphs(graph_rng);
-          g = &own;
-        }
-        const sim::RunResult result = run_one(*g, trial_seed.child(1).generator());
-        fill_record(rec, *g, result);
-      });
-      if (outcome.completed) {
-        rec.status = TrialRecord::Status::kCompleted;
-        rec.attempts = outcome.attempts;
-      } else {
-        quarantine_record(rec, outcome);
-      }
-
-      const std::size_t chunk = trial / sweep.chunk_size;
-      if (sweep.remaining[chunk].fetch_sub(1) == 1) finish_chunk(sweep, chunk);
-    }
-  };
-  run_workers(config.threads, pending.size(), worker);
-}
-
-/// Lane-plane path (sim/sharded_batch.hpp): 64 trials share one
-/// structure-of-arrays sweep of the shared graph, swept by `shards` worker
-/// threads per run.  Per-trial seeds, records and the chunked aggregation
-/// are identical to the scalar path, and in kScalarOrder (shards = 1) each
-/// lane is bit-identical to its scalar run, so TrialStats match exactly.
-/// In kStatisticalLanes each batch runs from one base stream keyed by its
-/// first trial index; at shards >= 2 the per-(shard, lane) stream
-/// partition yields a different (equally distributed) sample.  Chunks
-/// contain whole batches (effective_chunk_size), so fault isolation and
-/// resume operate at batch granularity: a batch that exhausts its retries
-/// quarantines all of its trials.
-void run_beep_trials_planes(const graph::Graph& shared, const BeepProtocolFactory& protocols,
-                            const TrialConfig& config, SweepState& sweep, unsigned shards) {
-  const support::SeedSequence root(config.base_seed);
-
-  struct Batch {
+void run_units(SweepState& sweep, std::size_t unit, unsigned workers,
+               MakeRunner&& make_runner) {
+  const TrialConfig& config = *sweep.config;
+  struct Unit {
     std::size_t first = 0, last = 0;
   };
-  std::vector<Batch> pending;
+  std::vector<Unit> pending;
+  pending.reserve((config.trials + unit - 1) / unit);
   for (std::size_t chunk = 0; chunk < sweep.num_chunks; ++chunk) {
     if (sweep.chunk_stats[chunk] != nullptr) continue;
-    const std::size_t first = sweep.chunk_first(chunk);
     const std::size_t last = sweep.chunk_last(chunk);
-    std::size_t batches_in_chunk = 0;
-    for (std::size_t b = first; b < last; b += sim::kMaxBatchLanes) {
-      pending.push_back({b, std::min(b + sim::kMaxBatchLanes, last)});
-      ++batches_in_chunk;
+    std::size_t units = 0;
+    for (std::size_t first = sweep.chunk_first(chunk); first < last; first += unit, ++units) {
+      pending.push_back({first, std::min(first + unit, last)});
     }
-    sweep.remaining[chunk].store(batches_in_chunk, std::memory_order_relaxed);
+    sweep.remaining[chunk].store(units, std::memory_order_relaxed);
   }
   std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    // One simulator, bound once to the shared graph, and one batched kernel
-    // per worker, reused across batches (scratch planes recycled).
+  run_workers(workers, pending.size(), [&] {
     const DeadlinePtr deadline = make_trial_deadline(config);
-    sim::SimConfig sim_config = config.sim;
-    sim_config.deadline_ns = deadline;
-    sim::ShardedBatchSimulator simulator(shared, shards, std::move(sim_config),
-                                         config.rng_mode);
-    const std::unique_ptr<sim::BatchProtocol> protocol =
-        protocols()->make_batch_protocol(config.rng_mode);
-    if (!protocol) {
-      // The dispatch probe saw a kernel but this worker's instance refuses
-      // one: the factory returns protocols of varying dynamic type.
-      throw std::logic_error(
-          "run_beep_trials: protocol factory is inconsistent about make_batch_protocol");
-    }
-    const unsigned k = simulator.shard_count();
-    std::vector<std::vector<mis::LaneVerification>> parts(k);
+    auto run = make_runner(deadline);
     for (;;) {
       if (sweep.should_stop()) break;
       const std::size_t i = next.fetch_add(1);
       if (i >= pending.size()) break;
-      const std::size_t first = pending[i].first;
-      const std::size_t last = pending[i].last;
-
-      const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-        sim::LanePlanes planes;
-        if (config.rng_mode == sim::BatchRngMode::kStatisticalLanes) {
-          planes = simulator.run_planes(*protocol, root.child(first).child(1).generator(),
-                                        static_cast<unsigned>(last - first));
-        } else {
-          std::vector<support::Xoshiro256StarStar> rngs;
-          rngs.reserve(last - first);
-          for (std::size_t trial = first; trial < last; ++trial) {
-            rngs.push_back(root.child(trial).child(1).generator());
-          }
-          planes = simulator.run_planes(*protocol, std::move(rngs));
-        }
-        // Verification fans out like the run: one worker per shard range.
-        std::atomic<unsigned> next_range{0};
-        run_workers(k, k, [&] {
-          for (;;) {
-            const unsigned s = next_range.fetch_add(1);
-            if (s >= k) break;
-            const auto [lo, hi] = simulator.shard_range(s);
-            parts[s] = mis::verify_mis_planes(shared, planes, lo, hi);
-          }
-        });
-        for (unsigned s = 1; s < k; ++s) {
-          for (unsigned l = 0; l < planes.lanes; ++l) parts[0][l].merge(parts[s][l]);
-        }
-        fill_batch_records(sweep.records, first, planes, parts[0]);
-      });
-      for (std::size_t trial = first; trial < last; ++trial) {
-        TrialRecord& rec = sweep.records[trial];
+      const auto [first, last] = pending[i];
+      const AttemptOutcome outcome =
+          run_with_isolation(config, deadline, [&] { run(first, last); });
+      for (std::size_t t = first; t < last; ++t) {
+        TrialRecord& rec = sweep.records[t];
         if (outcome.completed) {
           rec.status = TrialRecord::Status::kCompleted;
           rec.attempts = outcome.attempts;
         } else {
-          quarantine_record(rec, outcome);
+          rec = TrialRecord{};  // drop any partial metrics from the failed attempt
+          rec.status = TrialRecord::Status::kQuarantined;
+          rec.attempts = outcome.attempts;
+          rec.error = outcome.error;
         }
       }
-
       const std::size_t chunk = first / sweep.chunk_size;
       if (sweep.remaining[chunk].fetch_sub(1) == 1) finish_chunk(sweep, chunk);
     }
-  };
-  // Each sharded run already fans out across `shards` threads.
-  run_workers(shards >= 2 ? 1 : config.threads, pending.size(), worker);
+  });
 }
 
-/// Decides whether the sweep routes to the sharded-batched path and
-/// returns its shard count (0 = disengaged).  Engages only for
-/// statistical-lanes sweeps whose batch size amortises the per-exchange
-/// barriers: a shared graph, a shard-supporting protocol with a batched
-/// kernel, more than one batch of trials, and either an explicit
-/// TrialConfig::shards >= 2 or — in auto mode — at least two threads and
-/// a graph of auto_shard_min_nodes or more.  The auto branch needs the
-/// graph's node count, so it materialises trial 0's shared graph into
-/// `shared` (unless the scenario materialisation already did) and
-/// repoints `graphs` at it; every downstream path builds trial 0's graph
-/// from the identical seed, so the substitution is invisible.
-unsigned resolve_sharded_batch_shards(const GraphFactory*& graphs, GraphFactory& prebuilt,
-                                      std::shared_ptr<const graph::Graph>& shared,
-                                      const BeepProtocolFactory& protocols,
-                                      const TrialConfig& c) {
-  if (c.rng_mode != sim::BatchRngMode::kStatisticalLanes) return 0;
-  if (!c.allow_batched || !c.allow_sharded || !c.shared_graph) return 0;
-  if (c.sim.record_trace) return 0;
-  if (c.trials <= sim::kMaxBatchLanes) return 0;
-  if (c.shards == 1) return 0;
-  const unsigned threads = c.threads != 0
-                               ? c.threads
-                               : std::max(1u, std::thread::hardware_concurrency());
-  if (c.shards == 0 && threads < 2) return 0;
-  const std::unique_ptr<sim::BeepProtocol> probe = protocols();
-  if (!probe->shard_support().supported) return 0;
-  if (probe->make_batch_protocol(c.rng_mode) == nullptr) return 0;
-  // Explicit shard counts are requests: values beyond the simulator's
-  // ceiling throw at construction, exactly like the scalar-order sharded
-  // path.
-  if (c.shards >= 2) return c.shards;
-  if (shared == nullptr) {
-    auto rng = support::SeedSequence(c.base_seed).child(0).child(0).generator();
-    shared = std::make_shared<const graph::Graph>((*graphs)(rng));
-    prebuilt = [shared](support::Xoshiro256StarStar&) { return *shared; };
-    graphs = &prebuilt;
-  }
-  if (shared->node_count() < c.auto_shard_min_nodes) return 0;
-  return std::min(threads, sim::ShardedBatchSimulator::kMaxShards);
+/// Trial 0's graph: every trial's graph comes from root.child(t).child(0),
+/// and a shared graph is trial 0's.
+std::unique_ptr<const graph::Graph> trial0_graph(const GraphFactory& graphs,
+                                                 std::uint64_t base_seed) {
+  auto rng = support::SeedSequence(base_seed).child(0).child(0).generator();
+  return std::make_unique<const graph::Graph>(graphs(rng));
 }
 
-/// Sharded execution paths (see TrialConfig::shards).  Returns true when a
-/// sharded path ran (filling the sweep state); false = use the
-/// scalar/batched paths.  Both sharded paths draw in scalar order, so
-/// TrialStats are bit-identical to the other execution paths.
-bool run_beep_trials_sharded(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
-                             const TrialConfig& config, SweepState& sweep) {
-  if (!config.allow_sharded || config.sim.record_trace || config.trials == 0 ||
-      config.shards == 1) {
-    return false;
-  }
-  if (!protocols()->shard_support().supported) return false;
-
-  if (config.shards >= 2) {
-    // Explicit shard count: every trial runs sharded; the outer trial loop
-    // is single-worker because each run already uses `shards` threads.
-    TrialConfig outer = config;
-    outer.threads = 1;
-    run_trials_chunked(graphs, outer, sweep, [&](const DeadlinePtr& deadline) {
-      sim::SimConfig sim_config = config.sim;
-      sim_config.deadline_ns = deadline;
-      return [simulator = sim::ShardedSimulator(config.shards, std::move(sim_config)),
-              protocol = protocols()](const graph::Graph& g,
-                                      support::Xoshiro256StarStar rng) mutable {
-        return simulator.run(g, *protocol, rng);
-      };
-    });
-    return true;
-  }
-
-  // Auto mode: only a lone large run benefits — with several trials the
-  // trial-level parallelism already saturates the machine.
-  const unsigned threads = config.threads != 0
-                               ? config.threads
-                               : std::max(1u, std::thread::hardware_concurrency());
-  if (config.trials != 1 || threads < 2) return false;
-
-  if (sweep.chunk_stats[0] != nullptr) return true;  // resumed: nothing to run
-  if (sweep.should_stop()) return true;              // budget spent before starting
-
-  const support::SeedSequence trial_seed = support::SeedSequence(config.base_seed).child(0);
-  // Shared or not, trial 0's graph comes from root.child(0).child(0) —
-  // the same seed path either way.
-  auto graph_rng = trial_seed.child(0).generator();
-  const graph::Graph g = graphs(graph_rng);
-
-  const std::unique_ptr<sim::BeepProtocol> protocol = protocols();
-  const DeadlinePtr deadline = make_trial_deadline(config);
-  TrialRecord& rec = sweep.records[0];
+/// A worker's simulator config: its own deadline handle and, on a forced
+/// scalar scenario sweep, its own stateful scenario instance.
+sim::SimConfig worker_sim_config(const TrialConfig& config, const DeadlinePtr& deadline) {
   sim::SimConfig sim_config = config.sim;
   sim_config.deadline_ns = deadline;
-  const AttemptOutcome outcome = run_with_isolation(config, deadline, [&] {
-    sim::RunResult result;
-    if (g.node_count() >= config.auto_shard_min_nodes) {
-      // Auto mode must never reject a config that worked before sharding
-      // existed, so clamp to the simulator's shard ceiling (explicit
-      // TrialConfig::shards beyond it still throws — that is a request).
-      const unsigned k = std::min(threads, sim::ShardedSimulator::kMaxShards);
-      sim::ShardedSimulator simulator(g, k, sim_config);
-      result = simulator.run(*protocol, trial_seed.child(1).generator());
-    } else {
-      // Too small for the per-exchange barriers to pay off — but the graph
-      // is already built, so run the lone trial scalar here rather than
-      // rebuilding it from the same seed in the generic trial loop.
-      sim::BeepSimulator simulator(g, sim_config);
-      result = simulator.run(*protocol, trial_seed.child(1).generator());
-    }
-    fill_record(rec, g, result);
-  });
-  if (outcome.completed) {
-    rec.status = TrialRecord::Status::kCompleted;
-    rec.attempts = outcome.attempts;
-  } else {
-    quarantine_record(rec, outcome);
-  }
-  finish_chunk(sweep, 0);
-  return true;
+  if (config.scenario) sim_config.scenario = config.scenario();
+  return sim_config;
 }
 
-/// The pre-scenario dispatch pipeline: sharded, then batched, then the
-/// scalar trial loop.  Callers route scenario configs before this point —
-/// only a materialised (or absent) scenario may reach it.  `prebuilt` is
-/// trial 0's shared graph when routing already built it (nullptr
-/// otherwise); the lane paths run on it in place instead of a copy.
-void dispatch_beep_trials(const GraphFactory& graphs, const graph::Graph* prebuilt,
-                          const BeepProtocolFactory& protocols, const TrialConfig& config,
-                          SweepState& sweep, unsigned sharded_batch_k) {
-  graph::Graph built;
-  const auto trial0_graph = [&]() -> const graph::Graph& {
-    if (prebuilt != nullptr) return *prebuilt;
-    auto rng = support::SeedSequence(config.base_seed).child(0).child(0).generator();
-    built = graphs(rng);
-    return built;
-  };
-  // Lane-plane path at K >= 2: every core and every lane at once.  Routed
-  // before the scalar-order sharded path because statistical mode is an
-  // explicit opt-in to a different sample (resolve_sharded_batch_shards
-  // gates on it), and its k is already folded into the journal's request
-  // hash.
-  if (sharded_batch_k > 0) {
-    run_beep_trials_planes(trial0_graph(), protocols, config, sweep, sharded_batch_k);
-    return;
-  }
-  // Sharded path: parallelism *within* one run (TrialConfig::shards).
-  // Bit-identical to the scalar path, like the batched path below.
-  if (run_beep_trials_sharded(graphs, protocols, config, sweep)) return;
-  // Lane-plane path at K = 1 (batched): one graph shared by every trial, a
-  // protocol with a batched kernel, and no per-run event trace.  In
-  // kScalarOrder it is bit-identical to the scalar path (lane-for-lane),
-  // so callers never observe the switch; in kStatisticalLanes it is an
-  // explicit opt-in trade (TrialConfig::rng_mode).
-  if (config.allow_batched && config.shared_graph && config.trials > 0 &&
-      !config.sim.record_trace) {
-    // Lossy tail-dominated sweeps (loss + keep-alive + a run_until tail):
-    // in kScalarOrder every potential keep-alive delivery consumes its own
-    // per-lane Bernoulli, nothing amortises, and the batched path *loses*
-    // to scalar (0.6-0.9x in BENCH_core.json) — skip it.  In
-    // kStatisticalLanes the bulk loss planes flip the trade back, so those
-    // workloads prefer the batched path like everything else.
-    const bool statistical = config.rng_mode == sim::BatchRngMode::kStatisticalLanes;
-    const bool lossy_tail_dominated = config.sim.beep_loss_probability > 0.0 &&
-                                      config.sim.mis_keepalive &&
-                                      config.sim.run_until_round > 0;
-    if ((statistical || !lossy_tail_dominated) &&
-        protocols()->make_batch_protocol(config.rng_mode) != nullptr) {
-      run_beep_trials_planes(trial0_graph(), protocols, config, sweep, 1);
-      return;
+/// One trial per work unit (the scalar, sharded and LOCAL engines):
+/// `make_simulator(deadline)` builds the worker's simulator, which rebinds
+/// to each trial's graph.  That graph is `trial0` when the sweep shares
+/// one (and for trial 0 whenever planning built it), else the factory's.
+template <typename ProtocolFactory, typename MakeSimulator>
+void run_trial_units(const GraphFactory& graphs, const graph::Graph* trial0, SweepState& sweep,
+                     unsigned workers, const ProtocolFactory& protocols,
+                     MakeSimulator&& make_simulator) {
+  const TrialConfig& config = *sweep.config;
+  const support::SeedSequence root(config.base_seed);
+  run_units(sweep, 1, workers, [&](const DeadlinePtr& deadline) {
+    return [&, simulator = make_simulator(deadline), protocol = protocols()](
+               std::size_t trial, std::size_t) mutable {
+      const support::SeedSequence seed = root.child(trial);
+      graph::Graph own;
+      const graph::Graph* g = config.shared_graph || trial == 0 ? trial0 : nullptr;
+      if (g == nullptr) {
+        auto graph_rng = seed.child(0).generator();
+        own = graphs(graph_rng);
+        g = &own;
+      }
+      fill_record(sweep.records[trial], *g,
+                  simulator.run(*g, *protocol, seed.child(1).generator()));
+    };
+  });
+}
+
+/// One lane batch per work unit on the plan's graph, swept by plan.shards
+/// threads per run.  In kScalarOrder (K = 1) lane l runs trial first + l's
+/// own seed, bit-identical to its scalar run; in kStatisticalLanes each
+/// batch draws from one base stream keyed by its first trial index.
+void run_batch_units(const BeepProtocolFactory& protocols, const SweepPlan& plan,
+                     SweepState& sweep, unsigned workers) {
+  const TrialConfig& config = plan.config;
+  const support::SeedSequence root(config.base_seed);
+  const graph::Graph& g = *plan.graph;
+  run_units(sweep, sim::kMaxBatchLanes, workers, [&](const DeadlinePtr& deadline) {
+    std::unique_ptr<sim::BatchProtocol> protocol =
+        protocols()->make_batch_protocol(config.rng_mode);
+    if (!protocol) {
+      // The plan's probe saw a kernel but this worker's instance refuses
+      // one: the factory returns protocols of varying dynamic type.
+      throw std::logic_error(
+          "run_beep_trials: protocol factory is inconsistent about make_batch_protocol");
     }
-  }
-  run_trials_chunked(graphs, config, sweep, [&](const DeadlinePtr& deadline) {
-    // One simulator and one protocol per worker, reused for every trial the
-    // worker claims; the simulator rebinds to each trial's graph.
-    sim::SimConfig sim_config = config.sim;
-    sim_config.deadline_ns = deadline;
-    return [simulator = sim::BeepSimulator(std::move(sim_config)), protocol = protocols()](
-               const graph::Graph& g, support::Xoshiro256StarStar rng) mutable {
-      return simulator.run(g, *protocol, rng);
+    return [&, protocol = std::move(protocol),
+            simulator = sim::ShardedBatchSimulator(g, plan.shards,
+                                                   worker_sim_config(config, deadline),
+                                                   config.rng_mode),
+            parts = std::vector<std::vector<mis::LaneVerification>>()](
+               std::size_t first, std::size_t last) mutable {
+      sim::LanePlanes planes;
+      if (plan.statistical) {
+        planes = simulator.run_planes(*protocol, root.child(first).child(1).generator(),
+                                      static_cast<unsigned>(last - first));
+      } else {
+        std::vector<support::Xoshiro256StarStar> rngs;
+        rngs.reserve(last - first);
+        for (std::size_t t = first; t < last; ++t) {
+          rngs.push_back(root.child(t).child(1).generator());
+        }
+        planes = simulator.run_planes(*protocol, std::move(rngs));
+      }
+      // Verification fans out like the run: one worker per shard range.
+      const unsigned k = simulator.shard_count();
+      parts.resize(k);
+      std::atomic<unsigned> next_range{0};
+      run_workers(k, k, [&] {
+        for (unsigned s = next_range.fetch_add(1); s < k; s = next_range.fetch_add(1)) {
+          const auto [lo, hi] = simulator.shard_range(s);
+          parts[s] = mis::verify_mis_planes(g, planes, lo, hi);
+        }
+      });
+      for (unsigned s = 1; s < k; ++s) {
+        for (unsigned l = 0; l < planes.lanes; ++l) parts[0][l].merge(parts[s][l]);
+      }
+      fill_batch_records(sweep.records, first, planes, parts[0]);
     };
   });
 }
@@ -792,47 +572,29 @@ std::size_t checkpoint_chunk_count(std::size_t trials, std::size_t checkpoint_in
   return trials == 0 ? 0 : (trials + chunk - 1) / chunk;
 }
 
-TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
-                           const TrialConfig& config) {
-  if (config.sim.scenario != nullptr) {
-    throw std::invalid_argument(
-        "run_beep_trials: set TrialConfig::scenario (a factory), not "
-        "SimConfig::scenario — every worker thread needs its own stateful instance");
-  }
-  if (config.sim.deadline_ns != nullptr) {
-    throw std::invalid_argument(
-        "run_beep_trials: set TrialConfig::trial_timeout_seconds, not "
-        "SimConfig::deadline_ns — each worker thread arms its own per-attempt deadline");
-  }
-  validate_sweep_config(config, "run_beep_trials");
-  TrialConfig cfg = config;
-  const GraphFactory* effective_graphs = &graphs;
-  // Trial 0's shared graph, once the scenario materialisation or the
-  // routing probe has built it; effective_graphs then hands out copies.
-  std::shared_ptr<const graph::Graph> shared;
-  GraphFactory prebuilt_graphs;
-  std::string fallback;
-
-  if (cfg.scenario) {
-    const std::unique_ptr<sim::FaultScenario> probe = cfg.scenario();
+SweepPlan plan_sweep(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
+                     const TrialConfig& config) {
+  using Engine = SweepPlan::Engine;
+  SweepPlan plan;
+  plan.config = config;
+  TrialConfig& c = plan.config;
+  std::string& fallback = plan.fallback_reason;
+  if (c.scenario) {
+    const std::unique_ptr<sim::FaultScenario> probe = c.scenario();
     if (probe == nullptr) {
       throw std::invalid_argument("run_beep_trials: scenario factory returned nullptr");
     }
     const std::string name(probe->name());
     switch (probe->kind()) {
       case sim::ScenarioKind::kStaticSchedule:
-        if (cfg.shared_graph && cfg.sim.crash_round.empty()) {
-          // The schedule is a pure function of (graph, scenario config),
-          // so fold it into the static crash vectors once and keep every
-          // fast path — the run is bit-identical to executing the
-          // scenario live through the scalar driver.
-          const support::SeedSequence root(cfg.base_seed);
-          auto rng = root.child(0).child(0).generator();
-          shared = std::make_shared<const graph::Graph>(graphs(rng));
-          cfg.sim.crash_round = probe->materialize_crash_rounds(*shared);
-          cfg.scenario = nullptr;
-          prebuilt_graphs = [shared](support::Xoshiro256StarStar&) { return *shared; };
-          effective_graphs = &prebuilt_graphs;
+        if (c.shared_graph && c.sim.crash_round.empty()) {
+          // The schedule is a pure function of (graph, scenario config), so
+          // folding it into the static crash vectors keeps every route open
+          // and is bit-identical to running the scenario live.  The journal
+          // key hashes the folded vector, so a resume agrees with the run.
+          plan.graph = trial0_graph(graphs, c.base_seed);
+          c.sim.crash_round = probe->materialize_crash_rounds(*plan.graph);
+          c.scenario = nullptr;
         } else {
           fallback = "scenario '" + name +
                      "' runs live on the scalar simulator (materialising needs "
@@ -850,44 +612,97 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
         break;
     }
   }
-  if (cfg.sim.track_recovery && fallback.empty()) {
+  if (c.sim.track_recovery && fallback.empty()) {
     fallback = "recovery tracking is scalar-only: batched/sharded fast paths refused";
   }
+  if (c.shared_graph && plan.graph == nullptr) plan.graph = trial0_graph(graphs, c.base_seed);
+  if (!fallback.empty()) return plan;
 
-  // The sharded-batched routing decision is part of the journal's request
-  // key (its shard count changes the statistical sample), so resolve it
-  // before the sweep state is initialised.
-  unsigned sharded_batch_k = 0;
-  if (!cfg.scenario && !cfg.sim.track_recovery) {
-    sharded_batch_k = resolve_sharded_batch_shards(effective_graphs, prebuilt_graphs, shared,
-                                                   protocols, cfg);
+  const auto route = [&plan](Engine engine, unsigned shards, bool statistical) {
+    plan.engine = engine;
+    plan.shards = shards;
+    plan.statistical = statistical;
+    return std::move(plan);
+  };
+  const unsigned threads =
+      c.threads != 0 ? c.threads : std::max(1u, std::thread::hardware_concurrency());
+  const std::unique_ptr<sim::BeepProtocol> probe = protocols();
+  const bool shardable = probe->shard_support().supported;
+  const bool batchable = probe->make_batch_protocol(c.rng_mode) != nullptr;
+  const bool statistical = c.rng_mode == sim::BatchRngMode::kStatisticalLanes;
+  const bool trace = c.sim.record_trace;
+
+  // Statistical mode is an explicit opt-in to a different sample, so the
+  // K >= 2 lane planes outrank the scalar-order sharded engine.  Explicit
+  // shard counts are requests: values beyond the simulator's ceiling
+  // throw at construction; auto counts are clamped.
+  if (statistical && c.allow_batched && c.allow_sharded && c.shared_graph && !trace &&
+      c.trials > sim::kMaxBatchLanes && c.shards != 1 && (c.shards >= 2 || threads >= 2) &&
+      shardable && batchable) {
+    if (c.shards >= 2) return route(Engine::kPlanes, c.shards, true);
+    if (plan.graph->node_count() >= c.auto_shard_min_nodes) {
+      return route(Engine::kPlanes, std::min(threads, sim::ShardedBatchSimulator::kMaxShards),
+                   true);
+    }
   }
+  if (c.allow_sharded && !trace && c.trials > 0 && c.shards != 1 && shardable) {
+    if (c.shards >= 2) return route(Engine::kSharded, c.shards, false);
+    // Auto: with several trials the trial-level parallelism already
+    // saturates the machine, so only a lone large run shards.
+    if (c.trials == 1 && threads >= 2) {
+      if (plan.graph == nullptr) plan.graph = trial0_graph(graphs, c.base_seed);
+      if (plan.graph->node_count() < c.auto_shard_min_nodes) return plan;
+      return route(Engine::kSharded, std::min(threads, sim::ShardedSimulator::kMaxShards),
+                   false);
+    }
+  }
+  const bool lossy_tail = c.sim.beep_loss_probability > 0.0 && c.sim.mis_keepalive &&
+                          c.sim.run_until_round > 0;
+  if (c.allow_batched && c.shared_graph && c.trials > 0 && !trace &&
+      (statistical || !lossy_tail) && batchable) {
+    return route(Engine::kPlanes, 1, statistical);
+  }
+  return plan;
+}
 
-  // The request hash keys the journal to the routed config.  The scenario
-  // materialisation above is a pure function of the caller's config, so an
-  // interrupted invocation and its resume hash identical knobs (including
-  // the materialised crash_round) and agree on the journal's request key.
+TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory& protocols,
+                           const TrialConfig& config) {
+  if (config.sim.scenario != nullptr) {
+    throw std::invalid_argument(
+        "run_beep_trials: set TrialConfig::scenario (a factory), not "
+        "SimConfig::scenario — every worker thread needs its own stateful instance");
+  }
+  if (config.sim.deadline_ns != nullptr) {
+    throw std::invalid_argument(
+        "run_beep_trials: set TrialConfig::trial_timeout_seconds, not "
+        "SimConfig::deadline_ns — each worker thread arms its own per-attempt deadline");
+  }
+  validate_sweep_config(config, "run_beep_trials");
+  const SweepPlan plan = plan_sweep(graphs, protocols, config);
+  const TrialConfig& cfg = plan.config;
   SweepState sweep;
-  init_sweep(sweep, cfg, /*local=*/false, sharded_batch_k);
-
-  if (!cfg.scenario && !cfg.sim.track_recovery) {
-    dispatch_beep_trials(*effective_graphs, shared.get(), protocols, cfg, sweep,
-                         sharded_batch_k);
-  } else {
-    // Forced-scalar path: each worker owns a private scenario instance
-    // (fresh from the factory; BeepSimulator::run resets it every trial).
-    run_trials_chunked(*effective_graphs, cfg, sweep, [&](const DeadlinePtr& deadline) {
-      sim::SimConfig sim_config = cfg.sim;
-      sim_config.deadline_ns = deadline;
-      if (cfg.scenario) sim_config.scenario = cfg.scenario();
-      return [simulator = sim::BeepSimulator(std::move(sim_config)), protocol = protocols()](
-                 const graph::Graph& g, support::Xoshiro256StarStar rng) mutable {
-        return simulator.run(g, *protocol, rng);
-      };
-    });
+  init_sweep(sweep, cfg, &plan);
+  // A sharded run already fans out across `shards` threads.
+  const unsigned workers = plan.shards >= 2 ? 1 : cfg.threads;
+  switch (plan.engine) {
+    case SweepPlan::Engine::kScalar:
+      run_trial_units(graphs, plan.graph.get(), sweep, workers, protocols,
+                      [&](const DeadlinePtr& d) {
+                        return sim::BeepSimulator(worker_sim_config(cfg, d));
+                      });
+      break;
+    case SweepPlan::Engine::kSharded:
+      run_trial_units(graphs, plan.graph.get(), sweep, workers, protocols,
+                      [&](const DeadlinePtr& d) {
+                        return sim::ShardedSimulator(plan.shards, worker_sim_config(cfg, d));
+                      });
+      break;
+    case SweepPlan::Engine::kPlanes:
+      run_batch_units(protocols, plan, sweep, workers);
+      break;
   }
   TrialStats stats = assemble(sweep);
-  stats.scalar_fallback_reason = std::move(fallback);
+  stats.scalar_fallback_reason = plan.fallback_reason;
   return stats;
 }
 
@@ -899,16 +714,13 @@ TrialStats run_local_trials(const GraphFactory& graphs, const LocalProtocolFacto
   }
   validate_sweep_config(config, "run_local_trials");
   SweepState sweep;
-  init_sweep(sweep, config, /*local=*/true);
+  init_sweep(sweep, config, /*plan=*/nullptr);
+  const auto trial0 = config.shared_graph ? trial0_graph(graphs, config.base_seed) : nullptr;
   // The LOCAL-model simulator has no cooperative deadline hook, so
   // trial_timeout_seconds is not enforced here; budget expiry still
   // truncates at trial boundaries.
-  run_trials_chunked(graphs, config, sweep, [&](const DeadlinePtr&) {
-    return [simulator = sim::LocalSimulator(config.local_sim), protocol = protocols()](
-               const graph::Graph& g, support::Xoshiro256StarStar rng) mutable {
-      return simulator.run(g, *protocol, rng);
-    };
-  });
+  run_trial_units(graphs, trial0.get(), sweep, config.threads, protocols,
+                  [&](const DeadlinePtr&) { return sim::LocalSimulator(config.local_sim); });
   return assemble(sweep);
 }
 

@@ -40,59 +40,35 @@ struct TrialConfig {
   /// Generate the graph once (from trial 0's graph seed) and reuse it for
   /// every trial instead of resampling per trial.
   bool shared_graph = false;
-  /// Permit the batched 64-lane fast path.  It engages automatically when
-  /// shared_graph is set, the protocol provides a batched kernel
-  /// (BeepProtocol::make_batch_protocol), no trace is recorded, and — in
-  /// the default kScalarOrder mode — the workload is not a lossy
-  /// tail-dominated sweep (where per-lane delivery draws make batching a
-  /// pessimisation; see BENCH_core.json's lossy-tail rows).  In
-  /// kScalarOrder results are bit-identical to the scalar path either way,
-  /// so this exists only for A/B testing and benchmarking the two paths.
+  /// Permit the 64-lane batched engine (plan_sweep decides when it runs).
+  /// In kScalarOrder results are bit-identical either way, so this exists
+  /// only for A/B testing and benchmarking the engines.
   bool allow_batched = true;
-  /// Draw-entropy policy of the batched fast path.  kScalarOrder (the
-  /// default) keeps every trial bit-identical to the scalar path.
+  /// Draw-entropy policy of the batched engine.  kScalarOrder (the
+  /// default) keeps every trial bit-identical to the scalar engine.
   /// kStatisticalLanes opts into jump()-partitioned per-lane streams and
   /// bulk cross-lane Bernoulli planes: the same per-trial marginal
-  /// distributions from a different sample, which lifts the converge-phase
-  /// batching ceiling and makes lossy tail-dominated sweeps batchable
-  /// again.  TrialStats stay deterministic per (base_seed, trials, mode)
-  /// and thread count, but are not comparable seed-for-seed with
-  /// kScalarOrder runs.  It also unlocks the sharded-batched path (see
-  /// `shards`); scalar and single-run sharded execution always draw in
-  /// scalar order.
+  /// distributions from a different sample.  TrialStats stay deterministic
+  /// per (base_seed, trials, mode, lane-plane shard count) and thread
+  /// count, but are not comparable seed-for-seed with kScalarOrder runs.
+  /// The scalar and scalar-order sharded engines always draw in scalar
+  /// order.
   sim::BatchRngMode rng_mode = sim::BatchRngMode::kScalarOrder;
-  /// Shard-parallel execution (sim/sharded.hpp, sim/sharded_batch.hpp).
-  /// 0 = auto: a lone trial on a graph of at least `auto_shard_min_nodes`
-  /// nodes runs on the scalar-order sharded simulator across `threads`
-  /// (default: hardware) shards, bit-identical to the scalar path; a
-  /// kStatisticalLanes sweep of more than one 64-trial batch on such a
-  /// graph runs sharded-batched — every batch swept by `threads` shards
-  /// at once.  1 = never.  >= 2 = force that shard count: scalar-order
-  /// sweeps run every trial on the sharded simulator (bit-identical to
-  /// scalar), and eligible kStatisticalLanes sweeps run sharded-batched.
-  /// Either way the outer trial loop goes single-worker, since each run
-  /// already uses `shards` threads.  Scalar-order shard routing never
-  /// changes the numbers; the sharded-batched path partitions the
-  /// statistical streams per (shard, lane), so its results are
-  /// deterministic per (base_seed, trials, shard count) but a different
-  /// sample than the unsharded statistical path — the same trade
-  /// kStatisticalLanes already made, one axis further.
+  /// Threads per run (sim/sharded.hpp, sim/sharded_batch.hpp): 0 = auto,
+  /// 1 = never shard, >= 2 = that shard count.  plan_sweep turns this into
+  /// an engine and a shard count; sharded engines run the outer trial loop
+  /// single-worker, since each run already uses `shards` threads.
   unsigned shards = 0;
-  /// Opt-out mirror of allow_batched for the sharded paths (both the
-  /// single-run scalar-order one and the sharded-batched one).
+  /// Opt-out mirror of allow_batched for both sharded engines.
   bool allow_sharded = true;
   /// Auto-sharding size threshold: below this a run is too small for the
   /// per-exchange barriers to pay off.  Exposed for tests.
   std::size_t auto_shard_min_nodes = std::size_t{1} << 18;
   /// Fault scenario for every trial (see sim/scenario.hpp).  Set this —
   /// not SimConfig::scenario, which run_beep_trials rejects — so the
-  /// harness can hand each worker thread its own instance.  Routing by
-  /// ScenarioKind: a kStaticSchedule scenario on a shared graph with empty
-  /// crash_round is materialised into SimConfig::crash_round once, keeping
-  /// the batched/sharded fast paths (bit-identical to the equivalent
-  /// static-vector run); anything else — adaptive or dynamic-event
-  /// scenarios, per-trial graphs, recovery tracking — runs on the scalar
-  /// simulator, with the reason surfaced in
+  /// harness can hand each worker thread its own instance.  plan_sweep
+  /// folds a static schedule into SimConfig::crash_round when it can and
+  /// otherwise forces the scalar engine, with the reason in
   /// TrialStats::scalar_fallback_reason.
   FaultScenarioFactory scenario;
   sim::SimConfig sim;
@@ -255,6 +231,56 @@ struct TrialStats {
 [[nodiscard]] std::size_t effective_checkpoint_interval(std::size_t checkpoint_interval);
 [[nodiscard]] std::size_t checkpoint_chunk_count(std::size_t trials,
                                                  std::size_t checkpoint_interval);
+
+/// How run_beep_trials executes a sweep, decided once by plan_sweep.  The
+/// journal's request key hashes what the plan decides about the sample
+/// (`statistical`, and the shard count of a K >= 2 lane-plane run).
+struct SweepPlan {
+  enum class Engine {
+    kScalar,   ///< BeepSimulator, one trial per work unit
+    kSharded,  ///< scalar-order ShardedSimulator, one trial per work unit
+    kPlanes,   ///< ShardedBatchSimulator, one batch of up to 64 lanes per unit
+  };
+  Engine engine = Engine::kScalar;
+  /// Threads inside one run (1 = unsharded).
+  unsigned shards = 1;
+  /// The lanes draw kStatisticalLanes streams: a different sample from
+  /// scalar order.
+  bool statistical = false;
+  /// Why a fault scenario or recovery tracking forced the scalar engine
+  /// (empty otherwise); becomes TrialStats::scalar_fallback_reason.
+  std::string fallback_reason;
+  /// Trial 0's graph (seed path root.child(0).child(0)): built whenever the
+  /// sweep shares one graph, and for a lone auto-sharded trial, whose route
+  /// depends on its size.  The engines run on it rather than on a copy.
+  std::unique_ptr<const graph::Graph> graph;
+  /// The config the engines run: the caller's, with a materialised static
+  /// scenario folded into sim.crash_round.
+  TrialConfig config;
+};
+
+/// The routing table of run_beep_trials, first match wins:
+///  1. A static-schedule scenario on a shared graph with an empty
+///     crash_round is materialised into crash_round (every route stays
+///     open).  Any other scenario, and track_recovery, force kScalar with
+///     a fallback reason.
+///  2. kPlanes at K >= 2, statistical: kStatisticalLanes, allow_batched,
+///     allow_sharded, shared_graph, no trace, more than one batch of
+///     trials, a protocol with shard support and a batched kernel, and
+///     either an explicit shards >= 2 or auto with >= 2 threads on a graph
+///     of >= auto_shard_min_nodes nodes (K = threads, clamped).
+///  3. kSharded, scalar order: allow_sharded, no trace, shard support, and
+///     an explicit shards >= 2.  In auto mode only a lone trial with >= 2
+///     threads shards, when its graph has >= auto_shard_min_nodes nodes;
+///     a smaller lone trial runs kScalar, not as a one-lane batch.
+///  4. kPlanes at K = 1: allow_batched, shared_graph, trials > 0, no trace,
+///     a batched kernel, and — in kScalarOrder — not a lossy tail-dominated
+///     sweep (loss + keep-alive + run_until_round), whose per-lane delivery
+///     draws make batching slower than scalar.
+///  5. kScalar.
+[[nodiscard]] SweepPlan plan_sweep(const GraphFactory& graphs,
+                                   const BeepProtocolFactory& protocols,
+                                   const TrialConfig& config);
 
 /// Runs `config.trials` beeping-model trials.
 [[nodiscard]] TrialStats run_beep_trials(const GraphFactory& graphs,

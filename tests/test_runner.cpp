@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -13,8 +14,10 @@
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
 #include "mis/luby.hpp"
+#include "mis/pure_beep.hpp"
 #include "mis/verifier.hpp"
 #include "sim/batch.hpp"
+#include "sim/scenario.hpp"
 #include "sim/sharded_batch.hpp"
 
 namespace beepmis::harness {
@@ -291,6 +294,152 @@ TEST(Runner, PlaneRecordsMatchRunResultReplayOnEveryBatchedRoute) {
       }
     }
   }
+}
+
+// --- the routing table ------------------------------------------------------
+
+TEST(Runner, PlanSweepRoutesEveryRow) {
+  using Engine = SweepPlan::Engine;
+  constexpr auto kStatistical = sim::BatchRngMode::kStatisticalLanes;
+  struct Row {
+    const char* what;
+    std::function<void(TrialConfig&)> set;
+    Engine engine;
+    unsigned shards;
+    bool statistical;
+    const char* reason;  ///< fallback-reason substring; "" = no fallback
+    BeepProtocolFactory protocols = local_feedback();
+  };
+  const auto uniform_crash = [] {
+    sim::UniformRandomCrashConfig c;
+    c.fraction = 0.1;
+    return std::make_unique<sim::UniformRandomCrash>(c);
+  };
+  const auto lossy_tail = [](TrialConfig& c) {
+    c.sim.beep_loss_probability = 0.1;
+    c.sim.mis_keepalive = true;
+    c.sim.run_until_round = 20;
+  };
+  const Row rows[] = {
+      {"static scenario is materialised", [&](TrialConfig& c) { c.scenario = uniform_crash; },
+       Engine::kPlanes, 1, false, ""},
+      {"static scenario on per-trial graphs runs live",
+       [&](TrialConfig& c) {
+         c.scenario = uniform_crash;
+         c.shared_graph = false;
+       },
+       Engine::kScalar, 1, false, "runs live"},
+      {"adaptive scenario",
+       [](TrialConfig& c) {
+         c.scenario = [] {
+           return std::make_unique<sim::TargetMisMembers>(sim::TargetMisMembersConfig{});
+         };
+       },
+       Engine::kScalar, 1, false, "adaptive"},
+      {"dynamic-event scenario",
+       [](TrialConfig& c) {
+         c.scenario = [] { return std::make_unique<sim::ChurnStream>(sim::ChurnStreamConfig{}); };
+       },
+       Engine::kScalar, 1, false, "dynamic events"},
+      {"recovery tracking",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.sim.track_recovery = true;
+       },
+       Engine::kScalar, 1, false, "recovery tracking"},
+      {"auto statistical K>=2 on a large graph",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.auto_shard_min_nodes = 16;
+       },
+       Engine::kPlanes, 2, true, ""},
+      {"explicit statistical K=3",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.shards = 3;
+       },
+       Engine::kPlanes, 3, true, ""},
+      {"auto statistical on a small graph stays K=1",
+       [](TrialConfig& c) { c.rng_mode = kStatistical; }, Engine::kPlanes, 1, true, ""},
+      {"statistical K=1 when sharding is refused",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.shards = 2;
+         c.allow_sharded = false;
+       },
+       Engine::kPlanes, 1, true, ""},
+      {"explicit shards on one batch run scalar-order sharded",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.shards = 2;
+         c.trials = 64;
+       },
+       Engine::kSharded, 2, false, ""},
+      {"explicit scalar-order sharded",
+       [](TrialConfig& c) {
+         c.shards = 2;
+         c.shared_graph = false;
+       },
+       Engine::kSharded, 2, false, ""},
+      {"lone auto-sharded trial on a large graph",
+       [](TrialConfig& c) {
+         c.trials = 1;
+         c.auto_shard_min_nodes = 16;
+       },
+       Engine::kSharded, 2, false, ""},
+      {"lone trial on a small graph runs scalar, not as one lane",
+       [](TrialConfig& c) { c.trials = 1; }, Engine::kScalar, 1, false, ""},
+      {"scalar-order K=1 planes", [](TrialConfig&) {}, Engine::kPlanes, 1, false, ""},
+      {"scalar-order lossy tail skips K=1 planes", lossy_tail, Engine::kScalar, 1, false, ""},
+      {"statistical lossy tail keeps K=1 planes",
+       [&](TrialConfig& c) {
+         lossy_tail(c);
+         c.rng_mode = kStatistical;
+       },
+       Engine::kPlanes, 1, true, ""},
+      {"shards=1 never shards",
+       [](TrialConfig& c) {
+         c.rng_mode = kStatistical;
+         c.shards = 1;
+         c.auto_shard_min_nodes = 16;
+       },
+       Engine::kPlanes, 1, true, ""},
+      {"per-trial graphs", [](TrialConfig& c) { c.shared_graph = false; }, Engine::kScalar, 1,
+       false, ""},
+      {"trace recording", [](TrialConfig& c) { c.sim.record_trace = true; }, Engine::kScalar, 1,
+       false, ""},
+      {"protocol without kernels",
+       [](TrialConfig& c) { c.rng_mode = kStatistical; }, Engine::kScalar, 1, false, "",
+       [] { return std::make_unique<mis::PureBeepLocalFeedbackMis>(); }},
+  };
+  for (const Row& row : rows) {
+    TrialConfig config;
+    config.trials = 130;
+    config.threads = 2;
+    config.shared_graph = true;
+    row.set(config);
+    const SweepPlan plan = plan_sweep(small_gnp(), row.protocols, config);
+    EXPECT_EQ(plan.engine, row.engine) << row.what;
+    EXPECT_EQ(plan.shards, row.shards) << row.what;
+    EXPECT_EQ(plan.statistical, row.statistical) << row.what;
+    if (*row.reason == '\0') {
+      EXPECT_EQ(plan.fallback_reason, "") << row.what;
+    } else {
+      EXPECT_NE(plan.fallback_reason.find(row.reason), std::string::npos)
+          << row.what << ": " << plan.fallback_reason;
+    }
+    // Trial 0's graph is built once, by the plan, whenever an engine reads it.
+    EXPECT_EQ(plan.graph != nullptr, config.shared_graph || config.trials == 1) << row.what;
+  }
+
+  // Materialising folds the schedule into crash_round and drops the scenario.
+  TrialConfig config;
+  config.shared_graph = true;
+  config.scenario = uniform_crash;
+  const SweepPlan plan = plan_sweep(small_gnp(), local_feedback(), config);
+  EXPECT_EQ(plan.config.scenario, nullptr);
+  EXPECT_EQ(plan.config.sim.crash_round,
+            sim::UniformRandomCrash({0.1}).materialize_crash_rounds(*plan.graph));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Crash-safe sweep coverage (src/exp/README.md, "Crash-safe sweeps"):
 // journal round-trip, the torn-tail and reject-whole rules, the
-// atomic-publish crash point, the kill-and-resume
-// differential oracle (resumed == one-shot, bit for bit, across thread
-// counts and rng modes), budget truncation, and the chaos harness for
-// per-trial fault isolation (retry, quarantine, cooperative timeout).
+// journal request keys of every route, the atomic-publish crash point,
+// the kill-and-resume differential oracle (resumed == one-shot, bit for
+// bit, across thread counts and rng modes), budget truncation, and the
+// chaos harness for per-trial fault isolation (retry, quarantine,
+// cooperative timeout).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,8 +27,10 @@
 #include "exp/runner.hpp"
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
+#include "mis/luby.hpp"
 #include "mis/verifier.hpp"
 #include "sim/beep.hpp"
+#include "sim/scenario.hpp"
 #include "support/atomic_file.hpp"
 #include "support/rng.hpp"
 
@@ -490,6 +493,104 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
   EXPECT_EQ(resumed.resumed_trials, 0u);
   EXPECT_FALSE(resumed.resume_discarded_reason.empty());
   expect_stats_bits_equal(resumed, one_shot);
+  std::remove(path.c_str());
+}
+
+TEST(Resilience, StatisticalJournalIsRejectedByScalarOrderResume) {
+  // shards = 2 with allow_sharded = false runs statistical K = 1 lanes: a
+  // different sample from the scalar-order run of the same knobs, so its
+  // journal must not finish that run.
+  const std::string path = temp_path("journal_statistical_key.txt");
+  std::remove(path.c_str());
+  TrialConfig statistical = sweep_config(2, sim::BatchRngMode::kStatisticalLanes, true);
+  statistical.trials = 256;
+  statistical.shards = 2;
+  statistical.allow_sharded = false;
+  statistical.request_fingerprint = 42;
+  TrialConfig scalar_order = statistical;
+  scalar_order.rng_mode = sim::BatchRngMode::kScalarOrder;
+  const TrialStats fresh = run_beep_trials(sweep_gnp(), local_feedback(), scalar_order);
+
+  statistical.journal_path = path;
+  (void)run_beep_trials(sweep_gnp(), local_feedback(), statistical);
+  scalar_order.journal_path = path;
+  scalar_order.resume = true;
+  const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), scalar_order);
+  EXPECT_FALSE(resumed.resume_discarded_reason.empty());
+  EXPECT_EQ(resumed.resumed_trials, 0u);
+  expect_stats_bits_equal(resumed, fresh);
+  std::remove(path.c_str());
+}
+
+TEST(Resilience, RequestKeysStayPinnedOnEveryRoute) {
+  // Journal request keys, one tiny sweep per route.  A key that changes
+  // orphans every journal already written for that route, so these
+  // literals are never re-recorded.
+  TrialConfig base;
+  base.base_seed = 0xc0ffee;
+  base.threads = 2;
+  base.request_fingerprint = 42;
+  const auto make = [&](std::size_t trials, sim::BatchRngMode mode, bool shared,
+                        unsigned shards) {
+    TrialConfig c = base;
+    c.trials = trials;
+    c.rng_mode = mode;
+    c.shared_graph = shared;
+    c.shards = shards;
+    return c;
+  };
+  constexpr auto kScalarOrder = sim::BatchRngMode::kScalarOrder;
+  constexpr auto kStatistical = sim::BatchRngMode::kStatisticalLanes;
+  TrialConfig auto_k = make(130, kStatistical, true, 0);
+  auto_k.auto_shard_min_nodes = 16;
+  TrialConfig static_scenario = make(70, kScalarOrder, true, 0);
+  static_scenario.scenario = [] {
+    sim::UniformRandomCrashConfig c;
+    c.fraction = 0.1;
+    c.round_hi = 5;
+    return std::make_unique<sim::UniformRandomCrash>(c);
+  };
+  TrialConfig adaptive_scenario = make(3, kScalarOrder, true, 0);
+  adaptive_scenario.scenario = [] {
+    return std::make_unique<sim::TargetMisMembers>(sim::TargetMisMembersConfig{});
+  };
+  struct Pin {
+    const char* route;
+    TrialConfig config;
+    bool local;
+    const char* request;
+  };
+  const Pin pins[] = {
+      {"scalar", make(3, kScalarOrder, false, 0), false, "request 3b080620da198571"},
+      {"scalar-order K=1 planes", make(70, kScalarOrder, true, 0), false,
+       "request c2b86a4f4d8f72f5"},
+      {"statistical K=1", make(70, kStatistical, true, 0), false, "request 62120d78196569b4"},
+      {"statistical K=2 explicit", make(130, kStatistical, true, 2), false,
+       "request fc944dfd25880e73"},
+      {"statistical auto K>=2", auto_k, false, "request 9bedf125f15e0532"},
+      {"scalar-order sharded explicit", make(3, kScalarOrder, false, 2), false,
+       "request 3b080620da198571"},
+      {"materialised static scenario", static_scenario, false, "request 0444da1122f00005"},
+      {"forced-scalar adaptive scenario", adaptive_scenario, false,
+       "request 2b92013425f0ccb1"},
+      {"local", make(3, kScalarOrder, false, 0), true, "request b65e28c494ecb51b"},
+  };
+  const std::string path = temp_path("journal_request_pins.txt");
+  for (const Pin& pin : pins) {
+    std::remove(path.c_str());
+    TrialConfig config = pin.config;
+    config.journal_path = path;
+    if (pin.local) {
+      (void)run_local_trials(sweep_gnp(), [] { return std::make_unique<mis::LubyMis>(); },
+                             config);
+    } else {
+      (void)run_beep_trials(sweep_gnp(), local_feedback(), config);
+    }
+    const std::string journal = read_bytes(path);
+    const std::size_t at = journal.find("request ");
+    ASSERT_NE(at, std::string::npos) << pin.route;
+    EXPECT_EQ(journal.substr(at, journal.find('\n', at) - at), pin.request) << pin.route;
+  }
   std::remove(path.c_str());
 }
 
