@@ -18,16 +18,20 @@
 //   ./beepmis_cli --spec='sweepspec v3 graph=gnp graph.n=400 trials=512'
 //   ./beepmis_cli --graph=gnp --trials=512 --print-spec    # flags -> canonical line
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "cli/registry.hpp"
 #include "cli/sweep_spec.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "mis/verifier.hpp"
+#include "sim/sharded.hpp"
 #include "support/hash.hpp"
 #include "support/options.hpp"
 #include "support/stats.hpp"
@@ -130,18 +134,57 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Build or load the graph.
+  // Every numeric flag is parsed strictly, over the range parse_sweep_spec
+  // enforces for the matching spec key: a bad value exits 1 naming the
+  // flag instead of aborting or wrapping through unsigned (--n=-3).
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  const auto count = [&](const char* name, std::uint64_t lo, std::uint64_t hi) {
+    return cli::parse_count_flag(std::string("--") + name, options.get(name), lo, hi);
+  };
+  const auto real = [&](const char* name, double lo, double hi) {
+    return cli::parse_real_flag(std::string("--") + name, options.get(name), lo, hi);
+  };
   cli::GraphSpec gspec;
-  gspec.family = options.get("graph");
-  gspec.n = static_cast<graph::NodeId>(options.get_int("n"));
-  gspec.p = options.get_double("p");
-  gspec.rows = static_cast<graph::NodeId>(options.get_int("rows"));
-  gspec.cols = static_cast<graph::NodeId>(options.get_int("cols"));
-  gspec.k = static_cast<graph::NodeId>(options.get_int("k"));
-  gspec.seed = options.get_u64("graph-seed");
-  if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
-    gspec.family = "file";
-    gspec.path = graph_file;
+  cli::AlgorithmSpec aspec;
+  std::size_t trials = 0;
+  std::uint64_t seed0 = 0;
+  try {
+    gspec.family = options.get("graph");
+    gspec.n = static_cast<graph::NodeId>(count("n", 1, kU32Max));
+    gspec.p = real("p", 0.0, 1.0);
+    gspec.rows = static_cast<graph::NodeId>(count("rows", 1, kU32Max));
+    gspec.cols = static_cast<graph::NodeId>(count("cols", 1, kU32Max));
+    gspec.k = static_cast<graph::NodeId>(count("k", 1, kU32Max));
+    gspec.seed = count("graph-seed", 0, kU64Max);
+    if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
+      gspec.family = "file";
+      gspec.path = graph_file;
+    }
+
+    aspec.name = options.get("algorithm");
+    aspec.sim.beep_loss_probability = real("loss", 0.0, 1.0);
+    aspec.sim.mis_keepalive = options.get_bool("keepalive");
+    aspec.sim.max_rounds = count("max-rounds", 1, kU64Max);
+    aspec.local_sim.max_rounds = aspec.sim.max_rounds;
+    aspec.factor = real("factor", std::nextafter(1.0, 2.0), 1e9);
+    aspec.initial_p = real("initial-p", std::numeric_limits<double>::min(), 1.0);
+    aspec.shards = static_cast<unsigned>(count("shards", 1, sim::ShardedSimulator::kMaxShards));
+    aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
+    aspec.sim.run_until_round = count("run-until", 0, kU64Max);
+    aspec.sim.track_recovery = options.get_bool("track-recovery");
+    aspec.scenario.name = options.get("scenario");
+    aspec.scenario.rate = real("scenario-rate", 0.0, 1e9);
+    aspec.scenario.round_lo = static_cast<std::uint32_t>(count("scenario-lo", 0, kU32Max));
+    aspec.scenario.round_hi = static_cast<std::uint32_t>(count("scenario-hi", 0, kU32Max));
+    aspec.scenario.budget = count("scenario-budget", 0, kU64Max);
+    aspec.scenario.seed = count("scenario-seed", 0, kU64Max);
+
+    trials = count("trials", 1, kU64Max);
+    seed0 = count("seed", 0, kU64Max);
+  } catch (const std::exception& e) {
+    std::cerr << "beepmis_cli: " << e.what() << '\n';
+    return 1;
   }
 
   // Save-graph mode: materialise the workload as an on-disk BMCSR file and
@@ -176,33 +219,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cli::AlgorithmSpec aspec;
-  aspec.name = options.get("algorithm");
-  aspec.sim.beep_loss_probability = options.get_double("loss");
-  aspec.sim.mis_keepalive = options.get_bool("keepalive");
-  aspec.sim.max_rounds = static_cast<std::size_t>(options.get_int("max-rounds"));
-  aspec.local_sim.max_rounds = aspec.sim.max_rounds;
-  aspec.factor = options.get_double("factor");
-  aspec.initial_p = options.get_double("initial-p");
-  aspec.shards = static_cast<unsigned>(options.get_int("shards"));
-  aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
-  aspec.sim.run_until_round = static_cast<std::size_t>(options.get_int("run-until"));
-  aspec.sim.track_recovery = options.get_bool("track-recovery");
-  aspec.scenario.name = options.get("scenario");
-  aspec.scenario.rate = options.get_double("scenario-rate");
-  aspec.scenario.round_lo = static_cast<std::uint32_t>(options.get_int("scenario-lo"));
-  aspec.scenario.round_hi = static_cast<std::uint32_t>(options.get_int("scenario-hi"));
-  aspec.scenario.budget = static_cast<std::size_t>(options.get_int("scenario-budget"));
-  aspec.scenario.seed = options.get_u64("scenario-seed");
-
-  std::size_t trials = 0;
-  try {
-    trials = cli::parse_count_flag("--trials", options.get("trials"));
-  } catch (const std::exception& e) {
-    std::cerr << "beepmis_cli: " << e.what() << '\n';
-    return 1;
-  }
-  const std::uint64_t seed0 = options.get_u64("seed");
   const bool csv = options.get_bool("csv");
 
   // Crash-safe sweep mode: any durability/robustness flag — or a serialized
@@ -224,18 +240,15 @@ int main(int argc, char** argv) {
         spec.algorithm = aspec;
         spec.trials = trials;
         spec.base_seed = seed0;
-        spec.threads = static_cast<unsigned>(
-            cli::parse_count_flag("--threads", options.get("threads")));
+        spec.threads = static_cast<unsigned>(count("threads", 0, kU32Max));
         spec.journal_path = options.get("journal");
         spec.resume = options.get_bool("resume");
         spec.budget_seconds = cli::parse_seconds_flag("--budget", options.get("budget"));
         spec.trial_timeout_seconds =
             cli::parse_seconds_flag("--trial-timeout", options.get("trial-timeout"));
         spec.isolate_faults = options.get_bool("isolate-faults");
-        spec.max_retries = static_cast<unsigned>(
-            cli::parse_count_flag("--max-retries", options.get("max-retries")));
-        spec.checkpoint_interval =
-            cli::parse_count_flag("--checkpoint-interval", options.get("checkpoint-interval"));
+        spec.max_retries = static_cast<unsigned>(count("max-retries", 0, 1000));
+        spec.checkpoint_interval = count("checkpoint-interval", 1, kU64Max);
       }
       if (options.get_bool("print-spec")) {
         std::cout << cli::format_sweep_spec(spec) << '\n'
@@ -293,7 +306,13 @@ int main(int argc, char** argv) {
   std::size_t valid = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     aspec.seed = seed0 + t;
-    const sim::RunResult result = cli::run_algorithm(aspec, g);
+    sim::RunResult result;
+    try {
+      result = cli::run_algorithm(aspec, g);
+    } catch (const std::exception& e) {
+      std::cerr << "beepmis_cli: " << e.what() << '\n';
+      return 1;
+    }
     const mis::VerificationReport report = mis::verify_mis_run(g, result);
     rounds.push(static_cast<double>(result.rounds));
     beeps.push(result.mean_beeps_per_node());
@@ -310,8 +329,12 @@ int main(int argc, char** argv) {
     if (t == 0) {
       if (const std::string dot = options.get("dot-out"); !dot.empty()) {
         std::ofstream out(dot);
-        const auto selected = result.mis();
-        graph::write_dot(out, g, selected);
+        graph::write_dot(out, g, result.mis());
+        out.close();
+        if (!out) {
+          std::cerr << "beepmis_cli: --dot-out: cannot write " << dot << '\n';
+          return 1;
+        }
       }
       if (!csv) std::cout << "trial 0: " << report.summary() << '\n';
     }

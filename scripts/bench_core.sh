@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Runs the simulator-core micro-benchmarks across an n sweep and records
-# BENCH_core.json at the repository root, so successive PRs accumulate a
-# perf trajectory for the simulator hot paths.
+# Runs every bench driver (bench/bench_*.cpp) and records BENCH_core.json
+# at the repository root, so successive PRs accumulate a perf trajectory
+# for the simulator hot paths and a record of the paper's claims.
 #
 #   scripts/bench_core.sh [--smoke] [common bench args...]
 #
-# Five benches contribute:
+# Six benches contribute:
 #   bench_frontier   seed-path (dense) core vs frontier core, single runs
 #   bench_batch      per-trial scalar sweep vs 64-lane batched sweep
 #   bench_shard      scalar single run vs sharded single run (ShardedSimulator)
 #   bench_scenarios  recovery SLAs under fault adversaries (scalar fallback)
 #   bench_graph_tier in-RAM CSR vs mmap BMCSR vs shard-local reordered
 #                    copies, plus the streamed bounded-memory build row
+#   bench_paper      Figures 3 and 5 and the Theorem 1 family with their
+#                    log2 n / (log2 n)^2 fits; exits 1 (failing this
+#                    script) when a gated paper claim fails
 # bench_frontier and bench_batch run at n in BENCH_SIZES (default
 # "1000 10000 100000"); bench_shard runs at n in SHARD_SIZES (default
 # "100000 1000000" — sharding targets large single runs); bench_scenarios
@@ -19,22 +22,24 @@
 # scalar simulator, so huge n would dominate the wall clock);
 # bench_graph_tier runs at n in GRAPH_TIER_SIZES (default "100000 1000000"
 # — tier costs only show at sizes where the adjacency outgrows cache).
-# Positional args are forwarded to *all* drivers, so use them only for
-# flags all accept (--avg-degree, --reps, --seed); driver-specific flags go
-# in FRONTIER_ARGS / BATCH_ARGS / SHARD_ARGS / FAULT_ARGS / GRAPH_TIER_ARGS
-# (e.g. BATCH_ARGS="--trials=128", SHARD_ARGS="--shards=1,2,4,8").  The
-# script-owned --n/--git-rev/--out are appended last, so they win over
+# bench_paper runs once at its own sizes (it sweeps n itself).
+# Positional args are forwarded to the four n-sized timing drivers
+# (frontier, batch, shard, scenarios), so use them only for flags all of
+# those accept (--avg-degree, --reps, --seed); driver-specific flags go in
+# FRONTIER_ARGS / BATCH_ARGS / SHARD_ARGS / FAULT_ARGS / GRAPH_TIER_ARGS /
+# PAPER_ARGS (e.g. BATCH_ARGS="--trials=128", SHARD_ARGS="--shards=1,2,4,8").
+# The script-owned --n/--git-rev/--out are appended last, so they win over
 # anything forwarded.  The merged JSON is { header, frontier: [...],
-# batch: [...], shard: [...], faults: [...], graph_tier: [...] } (one
-# per-n report each); every per-n report records the git revision and
-# compiler it was built with.
+# batch: [...], shard: [...], faults: [...], graph_tier: [...],
+# paper: [...] } (one per-n report each, one report for paper); every
+# report records the git revision and compiler it was built with.
 #
 # --smoke (must be the first argument) is the CI mode: one tiny size
-# (n=256), one rep, short tails, and the merged JSON goes to
-# ${build_dir}/BENCH_core_smoke.json instead of clobbering the committed
-# perf record — the point is exercising every driver row and the merge
-# logic on every PR, plus feeding scripts/check_bench_regression.py, not
-# producing publishable numbers.  BENCH_SIZES/BENCH_OUT still override.
+# (n=256), one rep, short tails, bench_paper at k <= 48 and n <= 100, and
+# the merged JSON goes to ${build_dir}/BENCH_core_smoke.json instead of
+# clobbering the committed perf record — the point is exercising every
+# driver row and the merge logic on every PR, plus feeding
+# scripts/check_bench_regression.py, not producing publishable numbers.  BENCH_SIZES/BENCH_OUT still override.
 #
 # Builds the bench targets if needed (cmake -B build -S . must have been
 # configured, or this script configures it).
@@ -62,6 +67,9 @@ if (( smoke )); then
   # bench_graph_tier has no tail workload, so no --tail-rounds; a tiny
   # streaming budget forces the multi-chunk fill path even at smoke n.
   graph_tier_smoke_args=(--reps=1 --budget-mb=1)
+  # Same sizes as the bench_paper_smoke ctest: its gates hold at this seed.
+  paper_smoke_args=(--ks=8,16,32,48 --trials=64
+                    --fig3-ns=20,50,100 --fig5-ns=20,50,100 --grid-sides=8,12)
 else
   sizes="${BENCH_SIZES:-1000 10000 100000}"
   shard_sizes="${SHARD_SIZES:-100000 1000000}"
@@ -70,6 +78,7 @@ else
   merged_default="${repo_root}/BENCH_core.json"
   smoke_args=()
   graph_tier_smoke_args=()
+  paper_smoke_args=()
 fi
 merged="${BENCH_OUT:-${merged_default}}"
 
@@ -77,7 +86,7 @@ if [[ ! -d "${build_dir}" ]]; then
   cmake -B "${build_dir}" -S "${repo_root}"
 fi
 cmake --build "${build_dir}" --target bench_frontier bench_batch bench_shard \
-  bench_scenarios bench_graph_tier -j
+  bench_scenarios bench_graph_tier bench_paper -j
 
 git_rev="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 out_dir="${build_dir}/bench_reports"
@@ -106,6 +115,8 @@ shard_extra=(${SHARD_ARGS:-})
 fault_extra=(${FAULT_ARGS:-})
 # shellcheck disable=SC2206
 graph_tier_extra=(${GRAPH_TIER_ARGS:-})
+# shellcheck disable=SC2206
+paper_extra=(${PAPER_ARGS:-})
 
 frontier_reports=()
 batch_reports=()
@@ -148,6 +159,10 @@ for n in "${graph_tier_size_list[@]}"; do
       --n="${n}" --git-rev="${git_rev}" --out="${graph_tier_out}"
   graph_tier_reports+=("${graph_tier_out}")
 done
+paper_out="${out_dir}/paper.json"
+"${build_dir}/bench/bench_paper" ${paper_smoke_args[@]+"${paper_smoke_args[@]}"} \
+    ${paper_extra[@]+"${paper_extra[@]}"} \
+    --git-rev="${git_rev}" --out="${paper_out}"
 
 emit_section() {  # $1 = section name, rest = report files
   local name="$1"; shift
@@ -172,6 +187,8 @@ emit_section() {  # $1 = section name, rest = report files
   emit_section faults "${fault_reports[@]}"
   printf ',\n'
   emit_section graph_tier "${graph_tier_reports[@]}"
+  printf ',\n'
+  emit_section paper "${paper_out}"
   printf '\n}\n'
 } > "${merged}"
 echo "perf record written to ${merged}"

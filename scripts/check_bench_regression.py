@@ -49,7 +49,7 @@ import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SECTIONS = ("frontier", "batch", "shard", "faults", "graph_tier")
+SECTIONS = ("frontier", "batch", "shard", "faults", "graph_tier", "paper")
 
 
 def load_report(path):

@@ -318,6 +318,21 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertIn("coverage lost", out)
         self.assertIn("sharded-mmap-local", out)
 
+    def test_paper_section_coverage_is_gated(self):
+        # bench_paper's series rows carry the engine plan_sweep routed them
+        # to as their impl: a series that disappears, or that a routing
+        # change moves to another engine, is lost coverage.
+        base = report({"paper": [
+            row("theorem1", "planes-k1", 133120, protocol="global-sweep"),
+            row("figure3", "scalar", 1000, protocol="local-feedback")]})
+        fresh = report({"paper": [
+            row("theorem1", "scalar", 133120, protocol="global-sweep"),
+            row("figure3", "scalar", 1000, protocol="local-feedback")]})
+        code, out = self.run_checker(base, fresh, "--strict")
+        self.assertEqual(code, 1, out)
+        self.assertIn("coverage lost", out)
+        self.assertIn("paper/theorem1/global-sweep/planes-k1", out)
+
     @staticmethod
     def phased_row(deliver, emit, speedup=2.0, n=10000):
         r = row("converge", "scalar-mmap", n, speedup)

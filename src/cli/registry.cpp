@@ -1,7 +1,9 @@
 #include "cli/registry.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -183,10 +185,20 @@ std::string scenario_help() {
 
 namespace {
 
-/// The beeping SimConfig for a spec: the shared sim knobs plus the
-/// requested fault scenario.
-sim::SimConfig beeping_sim_config(const AlgorithmSpec& spec) {
+/// The SimConfig a beeping algorithm runs under: the spec's sim knobs, with
+/// keep-alive forced on for self-healing, which detects dominator death
+/// through keep-alive silence and never reactivates without it.  The one
+/// place both run_algorithm and run_sweep take their config from.
+sim::SimConfig algorithm_sim_config(const AlgorithmSpec& spec) {
   sim::SimConfig config = spec.sim;
+  if (spec.name == "self-healing") config.mis_keepalive = true;
+  return config;
+}
+
+/// The single-run SimConfig: the algorithm's config plus the requested
+/// fault scenario and the wall-clock budget.
+sim::SimConfig beeping_sim_config(const AlgorithmSpec& spec) {
+  sim::SimConfig config = algorithm_sim_config(spec);
   if (auto scenario = make_scenario(spec.scenario)) {
     if (spec.shards >= 2) {
       throw std::invalid_argument(
@@ -201,121 +213,9 @@ sim::SimConfig beeping_sim_config(const AlgorithmSpec& spec) {
   return config;
 }
 
-/// Runs a shard-capable beeping protocol either scalar or sharded
-/// (AlgorithmSpec::shards >= 2).  The sharded path draws in scalar order,
-/// so both paths return bit-identical results.
-sim::RunResult run_beeping(const AlgorithmSpec& spec, const graph::Graph& g,
-                           sim::BeepProtocol& protocol) {
-  if (spec.shards >= 2) {
-    sim::ShardedSimulator simulator(g, spec.shards, beeping_sim_config(spec));
-    return simulator.run(protocol, support::Xoshiro256StarStar(spec.seed));
-  }
-  sim::BeepSimulator simulator(g, beeping_sim_config(spec));
-  return simulator.run(protocol, support::Xoshiro256StarStar(spec.seed));
-}
-
-}  // namespace
-
-sim::RunResult run_algorithm(const AlgorithmSpec& spec, const graph::Graph& g) {
-  if (spec.name == "local-feedback") {
-    mis::LocalFeedbackConfig config;
-    config.factor_low = config.factor_high = spec.factor;
-    config.initial_p_low = config.initial_p_high = spec.initial_p;
-    mis::LocalFeedbackMis protocol(config);
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "local-feedback-exact") {
-    mis::ExactLocalFeedbackMis protocol;
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "self-healing") {
-    mis::SelfHealingConfig config;
-    config.base.factor_low = config.base.factor_high = spec.factor;
-    config.base.initial_p_low = config.base.initial_p_high = spec.initial_p;
-    mis::SelfHealingLocalFeedbackMis protocol(config);
-    // Healing detects dominator death through keepalive silence; without
-    // keepalive the protocol never reactivates, so force it on.
-    AlgorithmSpec healing = spec;
-    healing.sim.mis_keepalive = true;
-    return run_beeping(healing, g, protocol);
-  }
-  if (spec.name == "pure-beep") {
-    if (spec.shards >= 2) {
-      throw std::invalid_argument(
-          "--shards: pure-beep has no sharded support (subslot exchanges draw "
-          "outside the skeleton contract)");
-    }
-    mis::PureBeepLocalFeedbackMis protocol(/*subslots=*/8, spec.factor);
-    sim::BeepSimulator simulator(g, beeping_sim_config(spec));
-    return simulator.run(protocol, support::Xoshiro256StarStar(spec.seed));
-  }
-  if (spec.name == "global-sweep") {
-    mis::GlobalScheduleMis protocol = mis::make_global_sweep_mis();
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "global-increasing") {
-    // Parameterisation must match mis::run_global_increasing (mis.cpp),
-    // which this path mirrors so --shards can route through run_beeping.
-    mis::GlobalScheduleMis protocol =
-        mis::make_global_increasing_mis(g.max_degree(), g.node_count());
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.shards >= 2) {
-    throw std::invalid_argument("--shards is only supported by the shard-capable "
-                                "beeping algorithms (local-feedback, "
-                                "local-feedback-exact, self-healing, global-sweep, "
-                                "global-increasing); got: " + spec.name);
-  }
-  if (spec.scenario.name != "none") {
-    throw std::invalid_argument(
-        "--scenario: fault scenarios are a beeping-model feature; got LOCAL-model "
-        "algorithm: " + spec.name);
-  }
-  if (spec.name == "luby") return mis::run_luby(g, spec.seed, spec.local_sim);
-  if (spec.name == "luby-degree") return mis::run_luby_degree(g, spec.seed, spec.local_sim);
-  if (spec.name == "metivier") return mis::run_metivier(g, spec.seed, 0, spec.local_sim);
-  if (spec.name == "greedy-id") return mis::run_greedy_id(g, spec.local_sim);
-  throw std::invalid_argument("unknown algorithm: " + spec.name);
-}
-
-std::vector<std::string> algorithm_names() {
-  return {"global-increasing",    "global-sweep", "greedy-id", "local-feedback",
-          "local-feedback-exact", "luby",         "luby-degree", "metivier",
-          "pure-beep",            "self-healing"};
-}
-
-double parse_seconds_flag(const std::string& flag, const std::string& value) {
-  const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a finite, non-negative number of seconds, got '" +
-                                value + "'");
-  };
-  if (value.empty()) bad();
-  const char* begin = value.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end != begin + value.size()) bad();        // trailing garbage ("5s", "1,5")
-  if (!std::isfinite(parsed) || parsed < 0.0) bad();  // "nan", "inf", "-1"
-  return parsed;
-}
-
-std::size_t parse_count_flag(const std::string& flag, const std::string& value) {
-  const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a non-negative integer, got '" + value + "'");
-  };
-  if (value.empty() || value.size() > 19) bad();  // 19 digits always fits in 63 bits
-  std::size_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
-    parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return parsed;
-}
-
-namespace {
-
 /// Fresh protocol instance for a beeping algorithm spec, or nullptr for
 /// LOCAL-model algorithms (g parameterises the global-increasing
-/// schedule).  Unknown names throw, matching run_algorithm.
+/// schedule).  Unknown names throw.
 std::unique_ptr<sim::BeepProtocol> make_beep_protocol(const AlgorithmSpec& spec,
                                                       const graph::Graph& g) {
   if (spec.name == "local-feedback") {
@@ -338,6 +238,7 @@ std::unique_ptr<sim::BeepProtocol> make_beep_protocol(const AlgorithmSpec& spec,
     return std::make_unique<mis::GlobalScheduleMis>(mis::make_global_sweep_mis());
   }
   if (spec.name == "global-increasing") {
+    // Parameterised like mis::run_global_increasing (mis.cpp).
     return std::make_unique<mis::GlobalScheduleMis>(
         mis::make_global_increasing_mis(g.max_degree(), g.node_count()));
   }
@@ -349,6 +250,90 @@ std::unique_ptr<sim::BeepProtocol> make_beep_protocol(const AlgorithmSpec& spec,
 }
 
 }  // namespace
+
+sim::RunResult run_algorithm(const AlgorithmSpec& spec, const graph::Graph& g) {
+  if (const std::unique_ptr<sim::BeepProtocol> protocol = make_beep_protocol(spec, g)) {
+    // shards >= 2 runs ShardedSimulator, which draws in scalar order: the
+    // result is bit-identical to the scalar run.
+    if (spec.shards >= 2) {
+      if (!protocol->shard_support().supported) {
+        throw std::invalid_argument("--shards: " + spec.name +
+                                    " has no sharded support (its draws fall outside "
+                                    "the per-entry skeleton contract)");
+      }
+      sim::ShardedSimulator simulator(g, spec.shards, beeping_sim_config(spec));
+      return simulator.run(*protocol, support::Xoshiro256StarStar(spec.seed));
+    }
+    sim::BeepSimulator simulator(g, beeping_sim_config(spec));
+    return simulator.run(*protocol, support::Xoshiro256StarStar(spec.seed));
+  }
+  if (spec.shards >= 2) {
+    throw std::invalid_argument("--shards is only supported by the shard-capable "
+                                "beeping algorithms (local-feedback, "
+                                "local-feedback-exact, self-healing, global-sweep, "
+                                "global-increasing); got: " + spec.name);
+  }
+  if (spec.scenario.name != "none") {
+    throw std::invalid_argument(
+        "--scenario: fault scenarios are a beeping-model feature; got LOCAL-model "
+        "algorithm: " + spec.name);
+  }
+  if (spec.name == "luby") return mis::run_luby(g, spec.seed, spec.local_sim);
+  if (spec.name == "luby-degree") return mis::run_luby_degree(g, spec.seed, spec.local_sim);
+  if (spec.name == "metivier") return mis::run_metivier(g, spec.seed, 0, spec.local_sim);
+  return mis::run_greedy_id(g, spec.local_sim);  // the last LOCAL-model name
+}
+
+std::vector<std::string> algorithm_names() {
+  return {"global-increasing",    "global-sweep", "greedy-id", "local-feedback",
+          "local-feedback-exact", "luby",         "luby-degree", "metivier",
+          "pure-beep",            "self-healing"};
+}
+
+std::string render_double(double v) {
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
+double parse_real_flag(const std::string& flag, std::string_view value, double lo, double hi) {
+  const auto bad = [&] {
+    throw std::invalid_argument(flag + ": expected a finite number in [" + render_double(lo) +
+                                ", " + render_double(hi) + "], got '" + std::string(value) +
+                                "'");
+  };
+  if (value.empty()) bad();
+  const std::string copy(value);  // strtod needs a terminator
+  const char* begin = copy.c_str();
+  char* end = nullptr;
+  const double parsed = std::strtod(begin, &end);
+  if (end != begin + copy.size()) bad();  // trailing garbage ("5s", "1,5")
+  if (!std::isfinite(parsed) || parsed < lo || parsed > hi) bad();  // "nan", "inf", "-1"
+  return parsed;
+}
+
+double parse_seconds_flag(const std::string& flag, const std::string& value) {
+  return parse_real_flag(flag, value, 0.0, kMaxDuration);
+}
+
+std::uint64_t parse_count_flag(const std::string& flag, std::string_view value,
+                               std::uint64_t lo, std::uint64_t hi) {
+  const auto bad = [&] {
+    throw std::invalid_argument(flag + ": expected an integer in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "], got '" + std::string(value) +
+                                "'");
+  };
+  if (value.empty() || value.size() > 20) bad();
+  std::uint64_t parsed = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (parsed > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) bad();
+    parsed = parsed * 10 + digit;
+  }
+  if (parsed < lo || parsed > hi) bad();
+  return parsed;
+}
 
 std::uint64_t sweep_fingerprint(const SweepSpec& spec) {
   // The fingerprint IS the hash of the canonical request text: the serialized
@@ -379,8 +364,7 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
   config.threads = spec.threads;
   config.shared_graph = true;
   config.shards = aspec.shards;  // AlgorithmSpec default 1 = never auto-shard
-  config.sim = aspec.sim;
-  if (aspec.name == "self-healing") config.sim.mis_keepalive = true;  // mirror run_algorithm
+  config.sim = algorithm_sim_config(aspec);
   config.journal_path = spec.journal_path;
   config.resume = spec.resume;
   config.budget_seconds = spec.budget_seconds;

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -114,16 +116,34 @@ struct AlgorithmSpec {
 
 // --- Crash-safe trial sweeps (the harness path; src/exp/README.md) ------
 
-/// Strict duration-flag validation: a finite, non-negative number of
-/// seconds, full-match.  Throws std::invalid_argument naming the flag with
-/// a clear message on negative, non-numeric or partially numeric input
-/// (the kMaxShards guard style) — never silently truncates.
+/// Strict real-flag validation: a finite number in [lo, hi], full-match.
+/// Throws std::invalid_argument naming the flag and the range on
+/// out-of-range, non-numeric or partially numeric input ("5s", "nan") —
+/// never silently truncates.  parse_sweep_spec checks its real-valued keys
+/// through this too.
+[[nodiscard]] double parse_real_flag(const std::string& flag, std::string_view value,
+                                     double lo, double hi);
+
+/// The shortest decimal string that parses back to exactly `v`
+/// (std::to_chars), as SweepSpec lines and flag messages render doubles.
+[[nodiscard]] std::string render_double(double v);
+
+/// Upper bound of every duration flag and spec key: the seconds of
+/// --budget and --trial-timeout (about 31,700 years) and the rounds of
+/// scenario.revive_delay.
+inline constexpr double kMaxDuration = 1e12;
+
+/// Strict duration-flag validation: parse_real_flag over [0, kMaxDuration].
 [[nodiscard]] double parse_seconds_flag(const std::string& flag, const std::string& value);
 
-/// Strict count-flag validation: a non-negative decimal integer,
-/// full-match (rejects "-3", "1e3", "7x", overflow).  Throws
-/// std::invalid_argument naming the flag.
-[[nodiscard]] std::size_t parse_count_flag(const std::string& flag, const std::string& value);
+/// Strict count-flag validation: a decimal integer in [lo, hi], full-match
+/// (rejects "-3", "1e3", "7x", overflow).  Throws std::invalid_argument
+/// naming the flag and the range.  parse_sweep_spec checks its integer
+/// keys through this too, so a flag and its spec key accept the same
+/// values.
+[[nodiscard]] std::uint64_t parse_count_flag(
+    const std::string& flag, std::string_view value, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
 
 /// A crash-safe multi-trial sweep request: one graph (GraphSpec), one
 /// beeping algorithm, harness-derived per-trial seeds (SeedSequence tree

@@ -1,9 +1,7 @@
 #include "cli/sweep_spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -26,14 +24,6 @@ constexpr std::string_view kVersion = "v3";
   throw std::invalid_argument("sweepspec: " + message);
 }
 
-std::string render_double(double v) {
-  // std::to_chars emits the shortest decimal string that parses back to
-  // the exact same double — the whole round-trip contract in one call.
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
 std::string joined(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& n : names) {
@@ -48,35 +38,19 @@ std::string joined(const std::vector<std::string>& names) {
 std::uint64_t parse_u64_value(const std::string& key, std::string_view value,
                               std::uint64_t lo = 0,
                               std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
-  const auto bad = [&] {
-    fail(key + ": expected an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
-         "], got '" + std::string(value) + "'");
-  };
-  if (value.empty() || value.size() > 20) bad();
-  std::uint64_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (parsed > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) bad();
-    parsed = parsed * 10 + digit;
+  try {
+    return parse_count_flag(key, value, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
   }
-  if (parsed < lo || parsed > hi) bad();
-  return parsed;
 }
 
 double parse_double_value(const std::string& key, std::string_view value, double lo, double hi) {
-  const auto bad = [&] {
-    fail(key + ": expected a finite number in [" + render_double(lo) + ", " + render_double(hi) +
-         "], got '" + std::string(value) + "'");
-  };
-  if (value.empty()) bad();
-  const std::string copy(value);  // strtod needs a terminator
-  const char* begin = copy.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end != begin + copy.size()) bad();
-  if (!std::isfinite(parsed) || parsed < lo || parsed > hi) bad();
-  return parsed;
+  try {
+    return parse_real_flag(key, value, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
 }
 
 bool parse_bool_value(const std::string& key, std::string_view value) {
@@ -260,7 +234,7 @@ SweepSpec parse_sweep_spec(const std::string& text) {
       spec.algorithm.scenario.shards = static_cast<std::uint32_t>(
           parse_u64_value(key, value, 1, sim::ShardedSimulator::kMaxShards));
     } else if (key == "scenario.revive_delay") {
-      spec.algorithm.scenario.revive_delay_mean = parse_double_value(key, value, 0.0, 1e12);
+      spec.algorithm.scenario.revive_delay_mean = parse_double_value(key, value, 0.0, kMaxDuration);
     } else if (key == "scenario.seed") {
       spec.algorithm.scenario.seed = parse_u64_value(key, value);
     } else if (key == "trials") {
@@ -282,9 +256,9 @@ SweepSpec parse_sweep_spec(const std::string& text) {
     } else if (key == "resume") {
       spec.resume = parse_bool_value(key, value);
     } else if (key == "budget") {
-      spec.budget_seconds = parse_double_value(key, value, 0.0, 1e12);
+      spec.budget_seconds = parse_double_value(key, value, 0.0, kMaxDuration);
     } else if (key == "trial_timeout") {
-      spec.trial_timeout_seconds = parse_double_value(key, value, 0.0, 1e12);
+      spec.trial_timeout_seconds = parse_double_value(key, value, 0.0, kMaxDuration);
     } else if (key == "isolate_faults") {
       spec.isolate_faults = parse_bool_value(key, value);
     } else if (key == "max_retries") {

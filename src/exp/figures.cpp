@@ -8,7 +8,6 @@
 #include "mis/greedy_id.hpp"
 #include "mis/luby.hpp"
 #include "mis/metivier.hpp"
-#include "mis/self_healing.hpp"
 #include "mis/theory.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -115,8 +114,11 @@ std::vector<GridBeepsRow> grid_beeps_experiment(std::span<const std::size_t> sid
       return graph::grid2d(static_cast<graph::NodeId>(side),
                            static_cast<graph::NodeId>(side));
     };
-    const TrialStats local = run_beep_trials(graphs, local_feedback_factory(),
-                                             make_trial_config(config, 7000 + side));
+    // Deterministic graph: build it once.  Every trial keeps its own
+    // protocol stream, so this is bit-identical to a graph per trial.
+    TrialConfig tc = make_trial_config(config, 7000 + side);
+    tc.shared_graph = true;
+    const TrialStats local = run_beep_trials(graphs, local_feedback_factory(), tc);
     GridBeepsRow row;
     row.side = side;
     row.local_mean = local.beeps_per_node.mean();
@@ -276,51 +278,6 @@ std::vector<FaultRow> fault_experiment(std::size_t n, std::span<const double> lo
     row.independence_violations_per_trial =
         static_cast<double>(stats.independence_violations) / trials;
     row.uncovered_per_trial = static_cast<double>(stats.uncovered_nodes) / trials;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-std::vector<FaultRow> fault_scenario_experiment(std::size_t n,
-                                                std::span<const double> losses,
-                                                const FaultScenarioFactory& scenario,
-                                                const ExperimentConfig& config) {
-  std::vector<FaultRow> rows;
-  rows.reserve(losses.size());
-  std::uint64_t salt = 33000;
-  for (const double loss : losses) {
-    TrialConfig tc = make_trial_config(config, salt++);
-    tc.sim.beep_loss_probability = loss;
-    tc.sim.max_rounds = 2000;
-    // Maintenance regime: keepalive (the healing rule listens for it), a
-    // fixed tail so recovery has room to complete, recovery tracking on.
-    tc.sim.mis_keepalive = true;
-    tc.sim.run_until_round = 150;
-    tc.sim.track_recovery = true;
-    tc.scenario = scenario;
-
-    const auto graphs = gnp_factory(n, config.edge_probability);
-    const BeepProtocolFactory protocols = [] {
-      return std::make_unique<mis::SelfHealingLocalFeedbackMis>();
-    };
-    const TrialStats stats = run_beep_trials(graphs, protocols, tc);
-
-    FaultRow row;
-    row.loss = loss;
-    row.rounds_mean = stats.rounds.mean();
-    const auto trials = static_cast<double>(stats.trials);
-    row.valid_fraction = static_cast<double>(stats.valid) / trials;
-    row.terminated_fraction = static_cast<double>(stats.terminated) / trials;
-    row.independence_violations_per_trial =
-        static_cast<double>(stats.independence_violations) / trials;
-    row.uncovered_per_trial = static_cast<double>(stats.uncovered_nodes) / trials;
-    row.disruptions_per_trial = static_cast<double>(stats.disruptions) / trials;
-    row.unrecovered_per_trial =
-        static_cast<double>(stats.unrecovered_disruptions) / trials;
-    const TrialStats::RecoveryQuantiles q = stats.recovery_quantiles();
-    row.recovery_p50 = q.p50;
-    row.recovery_p95 = q.p95;
-    row.recovery_p99 = q.p99;
     rows.push_back(row);
   }
   return rows;

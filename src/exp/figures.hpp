@@ -1,7 +1,8 @@
-// Concrete experiment definitions for every figure/table in the paper's
-// evaluation, plus the extension experiments from DESIGN.md.  Each function
-// returns plain row structs; the bench binaries render them as tables,
-// plots and CSV.
+// Concrete experiment definitions for the paper's evaluation (Figures 3
+// and 5, the grid remark, the Theorem 1 family) plus the baseline,
+// robustness, loss and family comparisons.  Each function returns plain
+// row structs; exp/report renders them as tables, plots, CSV and growth
+// fits, and bench/bench_paper gates the paper's claims on them.
 #pragma once
 
 #include <cstdint>
@@ -101,21 +102,10 @@ struct FaultRow {
   double terminated_fraction = 0;  ///< trials that terminated at all
   double independence_violations_per_trial = 0;
   double uncovered_per_trial = 0;
-  /// Recovery-SLA columns, populated only by the scenario overload below.
-  double disruptions_per_trial = 0;
-  double unrecovered_per_trial = 0;
-  double recovery_p50 = 0, recovery_p95 = 0, recovery_p99 = 0;
 };
 [[nodiscard]] std::vector<FaultRow> fault_experiment(std::size_t n,
                                                      std::span<const double> losses,
                                                      const ExperimentConfig& config);
-
-/// Beep-loss sweep with a fault scenario layered on top: the self-healing
-/// protocol (keepalive on, fixed maintenance tail) under both beep loss
-/// and the adversary, with recovery-time quantiles per loss level.
-[[nodiscard]] std::vector<FaultRow> fault_scenario_experiment(
-    std::size_t n, std::span<const double> losses, const FaultScenarioFactory& scenario,
-    const ExperimentConfig& config);
 
 /// Rounds + beeps for local feedback across graph families at a given n
 /// (ring, grid, tree, hypercube-ish, gnp dense/sparse, clique, star).

@@ -223,23 +223,6 @@ support::Table fault_table(std::span<const FaultRow> rows) {
   return table;
 }
 
-support::Table fault_recovery_table(std::span<const FaultRow> rows) {
-  support::Table table({"beep loss", "rounds mean", "valid", "disrupt/trial",
-                        "unrecovered/trial", "rec p50", "rec p95", "rec p99"});
-  for (const FaultRow& r : rows) {
-    table.new_row()
-        .cell(r.loss, 3)
-        .cell(r.rounds_mean)
-        .cell(r.valid_fraction, 3)
-        .cell(r.disruptions_per_trial, 2)
-        .cell(r.unrecovered_per_trial, 3)
-        .cell(r.recovery_p50, 1)
-        .cell(r.recovery_p95, 1)
-        .cell(r.recovery_p99, 1);
-  }
-  return table;
-}
-
 support::Table family_table(std::span<const FamilyRow> rows) {
   support::Table table({"family", "n", "rounds mean", "sd", "beeps/node", "MIS size"});
   for (const FamilyRow& r : rows) {

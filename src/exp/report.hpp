@@ -1,5 +1,5 @@
-// Rendering helpers: turn experiment rows into the paper-style tables,
-// ASCII figures and growth-model fits printed by the bench binaries.
+// Rendering helpers: turn experiment rows into paper-style tables, ASCII
+// figures and growth-model fits (bench_paper prints the paper's).
 #pragma once
 
 #include <ostream>
@@ -28,8 +28,6 @@ namespace beepmis::harness {
 [[nodiscard]] support::Table comparison_table(std::span<const ComparisonRow> rows);
 [[nodiscard]] support::Table robustness_table(std::span<const RobustnessRow> rows);
 [[nodiscard]] support::Table fault_table(std::span<const FaultRow> rows);
-/// Recovery-SLA rendering of FaultRows produced by fault_scenario_experiment.
-[[nodiscard]] support::Table fault_recovery_table(std::span<const FaultRow> rows);
 [[nodiscard]] support::Table family_table(std::span<const FamilyRow> rows);
 
 /// Prints a table plus its CSV twin separated by a blank line.

@@ -13,9 +13,9 @@
 // signallers miss each other only when their slot patterns are identical
 // — probability 2^-subslots per pair per step — so the protocol is correct
 // w.h.p. but (unlike the sender-CD version) not with certainty.  The
-// residual violation rate and the ~subslots/2-fold beep cost are measured
-// in bench_pure_beep; the emulation converges to the Table 1 behaviour as
-// `subslots` grows.
+// residual violation rate and the ~subslots/2-fold beep cost are checked
+// in tests/test_pure_beep.cpp; the emulation converges to the Table 1
+// behaviour as `subslots` grows.
 #pragma once
 
 #include <cstdint>

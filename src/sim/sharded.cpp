@@ -9,10 +9,8 @@
 
 namespace beepmis::sim {
 
-ShardedSimulator::ShardedSimulator(unsigned shards, SimConfig config, RngMode rng_mode)
-    : requested_shards_(std::max(1u, shards)),
-      config_(std::move(config)),
-      rng_mode_(rng_mode) {
+ShardedSimulator::ShardedSimulator(unsigned shards, SimConfig config)
+    : requested_shards_(std::max(1u, shards)), config_(std::move(config)) {
   if (shards > kMaxShards) {
     throw std::invalid_argument(
         "ShardedSimulator: shard count " + std::to_string(shards) + " exceeds " +
@@ -40,9 +38,8 @@ ShardedSimulator::ShardedSimulator(unsigned shards, SimConfig config, RngMode rn
   keep_ = 1.0 - config_.beep_loss_probability;
 }
 
-ShardedSimulator::ShardedSimulator(const graph::Graph& g, unsigned shards, SimConfig config,
-                                   RngMode rng_mode)
-    : ShardedSimulator(shards, std::move(config), rng_mode) {
+ShardedSimulator::ShardedSimulator(const graph::Graph& g, unsigned shards, SimConfig config)
+    : ShardedSimulator(shards, std::move(config)) {
   bind_graph(g);
 }
 
@@ -131,16 +128,6 @@ RunResult ShardedSimulator::run(BeepProtocol& protocol, support::Xoshiro256StarS
     throw std::logic_error(
         "ShardedSimulator::run: shard_support().emit_draws_per_entry must have "
         "one entry per exchange");
-  }
-
-  if (rng_mode_ == RngMode::kPartitionedStreams) {
-    // Shard s draws from the base stream advanced by s jumps — disjoint
-    // 2^128-output windows, snapshot after the (serial) reset draws.
-    support::Xoshiro256StarStar stream = master_;
-    for (Lane& lane : lanes_) {
-      lane.rng = stream;
-      stream.jump();
-    }
   }
 
   round_ = 0;
@@ -298,39 +285,6 @@ void ShardedSimulator::deliver_reliable(Lane& lane, unsigned s) {
   }
 }
 
-void ShardedSimulator::deliver_lossy_partitioned(Lane& lane, unsigned s) {
-  // Lossy delivery under kPartitionedStreams: listener-partitioned like the
-  // reliable path, but every potential delivery into this shard's heard
-  // range consumes one Bernoulli from *this shard's* stream.  The scalar
-  // core's global draw order is unreproducible in parallel, yet the
-  // per-listener marginal — P(hear) = 1 - loss^|beeping neighbours|, with
-  // the already-heard short-circuit — does not depend on the order the
-  // beeping neighbours are tried, so the heard distribution matches the
-  // scalar core's; only the sample differs, which is the mode's contract.
-  // This replaces the serial coordinator bottleneck kScalarOrder pays.
-  detail::clear_flag_range(heard_.data(), lane.lo, lane.hi, lane.heard_dirty);
-  const auto slice = [this, s](graph::NodeId v) { return partition_.neighbors_in(v, s); };
-  const auto mark_heard = [this, &lane](graph::NodeId w) {
-    heard_[w] = 1;
-    lane.heard_dirty.push_back(w);
-  };
-  detail::deliver_from_beepers(lane.beepers, in_active_, slice, heard_.data(),
-                               /*lossy=*/true, keep_, &lane.rng, mark_heard);
-  for (unsigned r = 0; r < lanes_.size(); ++r) {
-    if (r == s) continue;
-    detail::deliver_from_beepers(lanes_[r].boundary_beepers, in_active_, slice,
-                                 heard_.data(), /*lossy=*/true, keep_, &lane.rng,
-                                 mark_heard);
-  }
-  if (config_.mis_keepalive) {
-    // Keep-alive beeps draw per potential delivery too; the global MIS list
-    // is read-only during exchanges, and slice adjacency confines the
-    // writes (and the draws) to this shard.
-    detail::deliver_keepalive_lossy(mis_nodes_, slice, heard_.data(), keep_, lane.rng,
-                                    mark_heard);
-  }
-}
-
 void ShardedSimulator::deliver_lossy_serial() {
   // The scalar draw order interleaves shards (global ascending beeper
   // order, global already-heard short-circuit, keep-alive in global join
@@ -470,10 +424,7 @@ void ShardedSimulator::shard_worker(unsigned s) {
             // global buffer swap; lanes swap their dirty lists below.
             beeped_.swap(prev_beeped_);
           }
-          if (rng_mode_ == RngMode::kScalarOrder &&
-              support_.emit_draws_per_entry[e] > 0) {
-            carve_streams(e);
-          }
+          if (support_.emit_draws_per_entry[e] > 0) carve_streams(e);
         }
         sync_->arrive_and_wait();  // swap + streams visible
 
@@ -497,13 +448,11 @@ void ShardedSimulator::shard_worker(unsigned s) {
           if (!std::is_sorted(lane.beepers.begin(), lane.beepers.end())) {
             std::sort(lane.beepers.begin(), lane.beepers.end());
           }
-          if (lanes_.size() > 1 &&
-              (!lossy_ || rng_mode_ == RngMode::kPartitionedStreams)) {
+          if (lanes_.size() > 1 && !lossy_) {
             // Publish only the beeps that can cross a shard line: the
             // cross-shard merge then scans O(boundary beepers) remote
-            // entries instead of every remote frontier entry.  Needed by
-            // both parallel delivery paths (reliable, and lossy under
-            // partitioned streams); serial lossy walks full frontiers.
+            // entries instead of every remote frontier entry.  Serial
+            // lossy delivery walks full frontiers instead.
             lane.boundary_beepers.clear();
             for (const graph::NodeId v : lane.beepers) {
               if (partition_.is_boundary(v)) lane.boundary_beepers.push_back(v);
@@ -513,7 +462,7 @@ void ShardedSimulator::shard_worker(unsigned s) {
         });
         sync_->arrive_and_wait();  // all beeper frontiers final
 
-        if (lossy_ && rng_mode_ == RngMode::kScalarOrder) {
+        if (lossy_) {
           if (s == 0) {
             guarded([&] {
               BEEPMIS_STM_START(deliver);
@@ -522,12 +471,6 @@ void ShardedSimulator::shard_worker(unsigned s) {
             });
           }
           sync_->arrive_and_wait();  // heard flags final
-        } else if (lossy_) {
-          guarded([&] {
-            BEEPMIS_STM_START(deliver);
-            deliver_lossy_partitioned(lane, s);
-            BEEPMIS_STM_STOP(deliver);
-          });
         } else {
           guarded([&] {
             BEEPMIS_STM_START(deliver);

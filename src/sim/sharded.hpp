@@ -23,10 +23,10 @@
 //
 // ## Draw-order contract (see also src/sim/README.md)
 //
-// kScalarOrder (default): the run consumes the rng stream in *exactly* the
-// scalar order, so the result is bit-identical to BeepSimulator for every
-// shard count.  This is possible because shard-supported protocols declare
-// a fixed number of single-output draws per active-list entry per exchange
+// The run consumes the rng stream in *exactly* the scalar order, so the
+// result is bit-identical to BeepSimulator for every shard count.  This is
+// possible because shard-supported protocols declare a fixed number of
+// single-output draws per active-list entry per exchange
 // (BeepProtocol::shard_support): before each drawing exchange the
 // coordinator carves the stream into per-shard windows by advancing a
 // cursor by (draws * active count) per shard — shard s's window is exactly
@@ -35,18 +35,8 @@
 // delivery, in global beeper order with a global already-heard
 // short-circuit), so in lossy mode delivery runs serially on the
 // coordinator, preserving the contract at reduced parallelism.
-//
-// kPartitionedStreams (opt-in): shard s draws from the base stream
-// advanced by s Xoshiro256StarStar::jump() calls — fully parallel (no
-// serial carving), still deterministic for a fixed (seed, shard count),
-// but *not* bit-identical to the scalar run (except K = 1, where the lone
-// shard's stream and iteration order coincide with the scalar run's) and
-// not invariant across shard counts.  Lossy delivery stays parallel here:
-// each shard draws its own listeners' loss bits from its own stream
-// (P(hear) = 1 - loss^|beeping neighbours| per listener is order-free, so
-// the distribution matches the scalar core even though the draw sequence
-// cannot).  This is the "statistical lanes" trade from the ROADMAP: same
-// distribution, different sample.
+// Statistical multi-trial runs that do not need scalar identity belong on
+// ShardedBatchSimulator's lanes (sim/sharded_batch.hpp).
 //
 // Event traces and round observers are scalar-only by design (they would
 // serialize the shards); construction with record_trace throws.
@@ -66,11 +56,6 @@ namespace beepmis::sim {
 
 class ShardedSimulator {
  public:
-  enum class RngMode {
-    kScalarOrder,         ///< bit-identical to BeepSimulator (default)
-    kPartitionedStreams,  ///< jump()-partitioned per-shard streams
-  };
-
   /// Upper bound on the shard count (construction throws above it).  A
   /// shard is a worker thread plus n·(K+1)·4 bytes of partition slice
   /// index, so values beyond any plausible core count are a configuration
@@ -81,14 +66,11 @@ class ShardedSimulator {
   /// Binds `g` and partitions it into (at most) `shards` ranges; `shards`
   /// is clamped to [1, n].  Worker threads are spawned per run, one per
   /// shard, through support::run_workers.
-  ShardedSimulator(const graph::Graph& g, unsigned shards, SimConfig config = {},
-                   RngMode rng_mode = RngMode::kScalarOrder);
+  ShardedSimulator(const graph::Graph& g, unsigned shards, SimConfig config = {});
   /// The simulator stores a reference; a temporary graph would dangle.
-  ShardedSimulator(graph::Graph&&, unsigned, SimConfig = {},
-                   RngMode = RngMode::kScalarOrder) = delete;
+  ShardedSimulator(graph::Graph&&, unsigned, SimConfig = {}) = delete;
   /// Unbound simulator: only usable through the graph-taking run overload.
-  explicit ShardedSimulator(unsigned shards, SimConfig config = {},
-                            RngMode rng_mode = RngMode::kScalarOrder);
+  explicit ShardedSimulator(unsigned shards, SimConfig config = {});
 
   /// Executes `protocol` to termination (or the round cap) on the bound
   /// graph.  Throws std::invalid_argument unless
@@ -109,7 +91,6 @@ class ShardedSimulator {
     return partition_.shard_count();
   }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-  [[nodiscard]] RngMode rng_mode() const noexcept { return rng_mode_; }
 
  private:
   /// Per-shard execution lane: the shard's slice of the frontier state
@@ -122,10 +103,9 @@ class ShardedSimulator {
     detail::FaultOutcome fault_outcome;
     std::vector<graph::NodeId> active;
     std::vector<graph::NodeId> beepers;
-    /// beepers filtered to boundary nodes, rebuilt each parallel-delivery
-    /// exchange (reliable, or lossy under kPartitionedStreams) so the
-    /// cross-shard merge scans only beeps that can cross a shard line
-    /// instead of every remote frontier entry.
+    /// beepers filtered to boundary nodes, rebuilt each reliable exchange
+    /// so the cross-shard merge scans only beeps that can cross a shard
+    /// line instead of every remote frontier entry.
     std::vector<graph::NodeId> boundary_beepers;
     std::vector<graph::NodeId> prev_beepers;
     std::vector<graph::NodeId> heard_dirty;
@@ -155,12 +135,10 @@ class ShardedSimulator {
   void carve_streams(unsigned exchange);
   void deliver_reliable(Lane& lane, unsigned s);
   void deliver_lossy_serial();
-  void deliver_lossy_partitioned(Lane& lane, unsigned s);
 
   const graph::Graph* graph_ = nullptr;
   unsigned requested_shards_ = 1;
   SimConfig config_;
-  RngMode rng_mode_ = RngMode::kScalarOrder;
   graph::Partition partition_;
   std::vector<Lane> lanes_;
 

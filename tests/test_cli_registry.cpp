@@ -147,6 +147,47 @@ TEST(AlgorithmRegistry, SelfHealingIsRegistered) {
   EXPECT_NE(std::find(names.begin(), names.end(), "self-healing"), names.end());
 }
 
+TEST(AlgorithmRegistry, ShardsFlagIsBitIdenticalOrRefused) {
+  // shards >= 2 routes a shard-capable protocol through ShardedSimulator,
+  // which draws in scalar order: every output must match the shards = 1
+  // run, on a reliable and on a lossy channel.  Every other algorithm must
+  // refuse the flag with invalid_argument rather than run unsharded.
+  const std::vector<std::string> shard_capable{"global-increasing", "global-sweep",
+                                               "local-feedback", "local-feedback-exact",
+                                               "self-healing"};
+  GraphSpec gspec;
+  gspec.family = "gnp";
+  gspec.n = 60;
+  gspec.p = 0.1;
+  const graph::Graph g = make_graph(gspec);
+  for (const double loss : {0.0, 0.1}) {
+    for (const std::string& name : algorithm_names()) {
+      AlgorithmSpec scalar;
+      scalar.name = name;
+      scalar.seed = 11;
+      scalar.sim.beep_loss_probability = loss;
+      scalar.sim.max_rounds = 300;
+      AlgorithmSpec sharded = scalar;
+      sharded.shards = 2;
+      const bool capable = std::find(shard_capable.begin(), shard_capable.end(), name) !=
+                           shard_capable.end();
+      if (!capable) {
+        EXPECT_THROW((void)run_algorithm(sharded, g), std::invalid_argument) << name;
+        continue;
+      }
+      const sim::RunResult a = run_algorithm(scalar, g);
+      const sim::RunResult b = run_algorithm(sharded, g);
+      const std::string what = name + " loss=" + std::to_string(loss);
+      EXPECT_EQ(a.rounds, b.rounds) << what;
+      EXPECT_EQ(a.terminated, b.terminated) << what;
+      EXPECT_EQ(a.total_beeps, b.total_beeps) << what;
+      EXPECT_EQ(a.reactivations, b.reactivations) << what;
+      EXPECT_EQ(a.status, b.status) << what;
+      EXPECT_EQ(a.beep_counts, b.beep_counts) << what;
+    }
+  }
+}
+
 TEST(ScenarioRegistry, EveryListedScenarioBuilds) {
   for (const std::string& name : scenario_names()) {
     ScenarioSpec spec;

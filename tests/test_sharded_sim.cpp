@@ -4,9 +4,7 @@
 // to BeepSimulator for *every* shard count — lossless and lossy, with
 // crash/wake-up faults — exactly as test_batch_sim.cpp pins lane identity
 // for the batched core.  These tests sweep K in {1, 2, 4, 7} over the
-// shard-capable protocol family and every fault dimension, then pin the
-// jump()-partitioned opt-in mode's weaker guarantees (determinism and
-// distribution-level validity, not scalar identity).
+// shard-capable protocol family and every fault dimension.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +23,6 @@
 #include "mis/local_feedback.hpp"
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
-#include "mis/verifier.hpp"
 #include "sim/beep.hpp"
 #include "sim/sharded.hpp"
 #include "support/rng.hpp"
@@ -285,46 +282,6 @@ TEST(ShardedSim, RejectsTraceRecording) {
   EXPECT_THROW(sim::ShardedSimulator(2, config), std::invalid_argument);
 }
 
-TEST(ShardedSim, LossyPartitionedStreamsSingleShardMatchesScalar) {
-  // Lossy + partitioned streams is supported (the PR 9 gap-close): each
-  // shard draws its own listeners' loss bits.  With one shard the stream
-  // and the iteration order (ascending beepers, then keep-alive in join
-  // order) coincide with the scalar run's, so K = 1 stays bit-identical
-  // even on a lossy channel.
-  const graph::Graph g = gnp_graph(60, 5.0, 23);
-  sim::SimConfig config;
-  config.beep_loss_probability = 0.15;
-  config.mis_keepalive = true;
-  sim::BeepSimulator scalar_sim(g, config);
-  mis::LocalFeedbackMis scalar_protocol;
-  const sim::RunResult scalar =
-      scalar_sim.run(scalar_protocol, support::Xoshiro256StarStar(31));
-  sim::ShardedSimulator sharded(g, 1, config,
-                                sim::ShardedSimulator::RngMode::kPartitionedStreams);
-  mis::LocalFeedbackMis protocol;
-  expect_same_result(scalar, sharded.run(protocol, support::Xoshiro256StarStar(31)),
-                     "lossy partitioned K=1");
-}
-
-TEST(ShardedSim, LossyPartitionedStreamsDeterministic) {
-  // K >= 2: no scalar identity (delivery draws are per-shard).  Loss can
-  // legitimately leave fate inconsistencies (a lost announcement is real
-  // protocol behaviour — same caveat as the statistical-lanes tests), so
-  // pin termination + rerun determinism, not validity.
-  const graph::Graph g = gnp_graph(80, 6.0, 24);
-  sim::SimConfig config;
-  config.beep_loss_probability = 0.2;
-  for (const unsigned k : {2u, 4u}) {
-    sim::ShardedSimulator sim(g, k, config,
-                              sim::ShardedSimulator::RngMode::kPartitionedStreams);
-    mis::LocalFeedbackMis protocol;
-    const sim::RunResult first = sim.run(protocol, support::Xoshiro256StarStar(13));
-    const sim::RunResult again = sim.run(protocol, support::Xoshiro256StarStar(13));
-    expect_same_result(first, again, "lossy partitioned determinism K=" + std::to_string(k));
-    EXPECT_TRUE(first.terminated);
-  }
-}
-
 TEST(ShardedSim, UnboundSimulatorThrows) {
   sim::ShardedSimulator unbound(3, {});
   mis::LocalFeedbackMis protocol;
@@ -494,39 +451,6 @@ TEST(ShardedRunner, ExpiredTrialTimeoutQuarantinesEveryTrial) {
   for (const harness::FailedTrial& f : stats.failed_trials) {
     EXPECT_EQ(f.attempts, 2u);
     EXPECT_NE(f.error.find("deadline expired"), std::string::npos) << f.error;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// jump()-partitioned streams (opt-in): deterministic, valid, not scalar.
-
-TEST(ShardedSim, PartitionedStreamsSingleShardMatchesScalar) {
-  // With one shard the partitioned stream is the base stream after the
-  // reset draws — exactly the scalar run.
-  const graph::Graph g = gnp_graph(60, 5.0, 21);
-  sim::BeepSimulator scalar_sim(g, {});
-  mis::LocalFeedbackMis scalar_protocol;
-  const sim::RunResult scalar =
-      scalar_sim.run(scalar_protocol, support::Xoshiro256StarStar(8));
-  sim::ShardedSimulator sharded(g, 1, {},
-                                sim::ShardedSimulator::RngMode::kPartitionedStreams);
-  mis::LocalFeedbackMis protocol;
-  expect_same_result(scalar, sharded.run(protocol, support::Xoshiro256StarStar(8)),
-                     "partitioned K=1");
-}
-
-TEST(ShardedSim, PartitionedStreamsDeterministicAndValid) {
-  const graph::Graph g = gnp_graph(80, 6.0, 22);
-  for (const unsigned k : {2u, 4u}) {
-    sim::ShardedSimulator sim(g, k, {},
-                              sim::ShardedSimulator::RngMode::kPartitionedStreams);
-    mis::LocalFeedbackMis protocol;
-    const sim::RunResult first = sim.run(protocol, support::Xoshiro256StarStar(9));
-    const sim::RunResult again = sim.run(protocol, support::Xoshiro256StarStar(9));
-    expect_same_result(first, again, "partitioned determinism K=" + std::to_string(k));
-    EXPECT_TRUE(first.terminated);
-    const mis::VerificationReport report = mis::verify_mis_run(g, first);
-    EXPECT_TRUE(report.valid()) << "K=" << k << ": " << report.summary();
   }
 }
 
