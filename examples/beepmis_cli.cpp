@@ -211,16 +211,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  graph::Graph g;
-  try {
-    g = cli::make_graph(gspec);
-  } catch (const std::exception& e) {
-    std::cerr << "beepmis_cli: " << e.what() << '\n';
-    return 1;
-  }
-
-  const bool csv = options.get_bool("csv");
-
   // Crash-safe sweep mode: any durability/robustness flag — or a serialized
   // spec — routes the trial loop through the checkpointing harness instead
   // of the legacy loop.
@@ -295,6 +285,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Legacy loop: the only mode that reads the graph flags' graph here
+  // (spec and harness modes build theirs inside run_sweep, or none).
+  graph::Graph g;
+  try {
+    g = cli::make_graph(gspec);
+  } catch (const std::exception& e) {
+    std::cerr << "beepmis_cli: " << e.what() << '\n';
+    return 1;
+  }
+
+  const bool csv = options.get_bool("csv");
   if (!csv) {
     std::cout << g.describe() << ", max degree " << g.max_degree() << ", algorithm "
               << aspec.name << "\n";

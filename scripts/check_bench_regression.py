@@ -8,14 +8,15 @@ watch; this script makes "watched" mean something mechanical:
                 in the committed baseline must also appear in the fresh run,
                 so a bench refactor cannot silently drop a measured lane;
   * speedups  — for rows that report a speedup_vs_* ratio, fresh and
-                baseline are compared per matching n (a full-sweep rerun
-                checks every size independently, so a large-n regression
-                cannot hide behind a healthy small-n row); when no sizes
-                overlap (the n=256 CI smoke run vs the committed
-                1k/10k/100k sweep) the fresh run's smallest n is compared
-                against the baseline's smallest n, the closest regimes.
-                A fresh ratio below --threshold times the baseline one is
-                flagged.
+                baseline are compared per matching n only (a full-sweep
+                rerun checks every size independently, so a large-n
+                regression cannot hide behind a healthy small-n row).  A
+                lane whose sizes do not overlap (the CI smoke run's n=256
+                and shard n=20000 vs the committed 1k/10k/100k and
+                100k/1M sweeps) is not compared at all, only noted: a
+                ratio at another n measures the size effect, not the
+                code.  A fresh ratio below --threshold times the baseline
+                one is flagged.
   * phases    — for rows that carry a "phase_ns" object (BEEPMIS_PHASE_TIMERS
                 builds), the deliver/emit CPU-time ratio is compared the
                 same way: a shift beyond --phase-tolerance in either
@@ -262,6 +263,12 @@ def main():
                   f"fresh hardware_threads={sorted(fresh_t)} (coverage still checked)")
 
     warnings = []
+    no_shared_n = []
+
+    def comparison_pairs(base_rows, fresh_rows):
+        """(baseline, fresh, where) per size both runs measured."""
+        return [(base_rows[n], fresh_rows[n], f"n={n}")
+                for n in sorted(set(base_rows) & set(fresh_rows))]
 
     for key in sorted(baseline):
         section, workload, protocol, impl, mode = key
@@ -277,21 +284,11 @@ def main():
             print(f"note: {label}: ignoring truncated/quarantined row(s) at "
                   f"n={degraded_n} for the speedup comparison")
 
-        def comparison_pairs(base_rows, fresh_rows):
-            """Per-size pairs when sweeps overlap, smallest-vs-smallest
-            otherwise (the closest regimes: tiny-n smoke vs committed)."""
-            common = sorted(set(base_rows) & set(fresh_rows))
-            if common:
-                # Full-sweep rerun: every size stands on its own, so a
-                # large-n regression cannot hide behind a small-n row.
-                return [(base_rows[n], fresh_rows[n], f"n={n}") for n in common]
-            base_n = min(base_rows)
-            fresh_n = min(fresh_rows)
-            return [(base_rows[base_n], fresh_rows[fresh_n],
-                     f"baseline n={base_n} vs fresh n={fresh_n}")]
-
         base_rows = {n: s for n, s, d, _ in baseline[key] if s is not None and not d}
         fresh_rows = {n: s for n, s, d, _ in fresh[key] if s is not None and not d}
+        if base_rows and fresh_rows and not set(base_rows) & set(fresh_rows):
+            no_shared_n.append(f"{label} (baseline n={sorted(base_rows)}, "
+                               f"fresh n={sorted(fresh_rows)})")
         if base_rows and fresh_rows:
             # Reference impl rows (speedup == 1) still count for coverage.
             for base_speedup, fresh_speedup, where in comparison_pairs(
@@ -320,6 +317,11 @@ def main():
                         f"{where}) — delivery cost shifted even if wall time "
                         f"looks healthy"
                     )
+
+    if no_shared_n:
+        print(f"note: {len(no_shared_n)} lane(s) share no n with the baseline; "
+              "their ratios are not compared (coverage still checked): "
+              + "; ".join(no_shared_n))
 
     for key in sorted(set(fresh) - set(baseline)):
         print(f"note: new lane not in baseline yet: {'/'.join(key)}")

@@ -2,7 +2,8 @@
 # Bad-input oracle for beepmis_cli: every malformed numeric flag and an
 # unwritable --dot-out path must exit 1 with a message naming the flag (or
 # the path), never abort (134), wrap a negative value through unsigned, or
-# exit 0 having written nothing.
+# exit 0 having written nothing.  Spec mode ignores the individual graph
+# flags, so a bad --graph-file next to --spec must not fail the run.
 #
 #   scripts/cli_bad_flags.sh <path-to-beepmis_cli> [workdir]
 set -u
@@ -42,6 +43,12 @@ expect_reject "/nonexistent/dir/x.dot" --n=20 --dot-out=/nonexistent/dir/x.dot
   || { echo "cli_bad_flags: FAIL: valid --dot-out run exited nonzero" >&2; failures=$((failures + 1)); }
 grep -q '^graph G' "$WORKDIR/ok.dot" 2>/dev/null \
   || { echo "cli_bad_flags: FAIL: valid --dot-out wrote no graph" >&2; failures=$((failures + 1)); }
+
+# Spec mode builds no graph from the flags: the sweep runs on the spec's
+# graph and exits 0.
+"$CLI" --spec='sweepspec v3 graph=gnp graph.n=50 trials=1' --graph-file=/nonexistent/g.txt \
+  > "$WORKDIR/spec.txt" 2>&1 \
+  || { echo "cli_bad_flags: FAIL: --spec with an unused bad --graph-file exited nonzero: $(cat "$WORKDIR/spec.txt")" >&2; failures=$((failures + 1)); }
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_bad_flags: $failures case(s) failed" >&2

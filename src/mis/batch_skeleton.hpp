@@ -7,7 +7,10 @@
 // they live here once.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/batch.hpp"
@@ -39,7 +42,7 @@ inline void apply_round_outcome(sim::BatchContext& ctx,
 }
 
 /// Bitplane-encoded per-lane dyadic exponents for the
-/// BatchRngMode::kStatisticalLanes kernels: bit l of plane j of node v is
+/// BatchRngMode::kStatisticalLanes kernels: bit l of plane j at node v is
 /// bit j of lane l's exponent k.  Everything a dyadic kernel does with the
 /// exponents becomes whole-plane (all 64 lanes at once) instead of a
 /// per-lane loop:
@@ -54,6 +57,14 @@ inline void apply_round_outcome(sim::BatchContext& ctx,
 ///    the planes (~2 expected plane ops); callers gate inc/dec with
 ///    equal() masks so saturation stays their policy.
 ///
+/// The planes are round-bounded.  Dyadic feedback moves an exponent by at
+/// most one per round, so after round r every exponent is at most
+/// initial + r + 1: reset holds the planes round 0 can reach, and the
+/// kernel's BatchProtocol::begin_round hook grows the stack
+/// (sim::detail::grow_plane_stack, plane-major like the beep counters) to
+/// the next round's bound.  The width is therefore always the tightest
+/// bound, and a sweep never visits a provably zero plane.
+///
 /// Unlike the scalar-order kernels there is no exact-zero /
 /// double-underflow state: draw() fires a k = 1075 lane with true
 /// probability 2^-1075 instead of never (and the exact kernel's draw clamp
@@ -61,48 +72,58 @@ inline void apply_round_outcome(sim::BatchContext& ctx,
 /// distinguish, traded for plane-parallel state.
 class ExponentPlanes {
  public:
-  /// All (node, lane) exponents start at `initial`; values are `width`
-  /// bits wide (callers must keep every reachable value below 2^width).
-  void reset(graph::NodeId n, unsigned width, unsigned initial) {
-    width_ = width;
-    planes_.resize(static_cast<std::size_t>(n) * width);
-    for (graph::NodeId v = 0; v < n; ++v) set_all(v, initial);
+  /// All (node, lane) exponents start at `initial`; values never exceed
+  /// 2^max_width - 1 (callers saturate below it).  Holds
+  /// bit_width(initial + 1) planes, the bound through round 0, and frees
+  /// any planes a longer previous run grew.
+  void reset(graph::NodeId n, unsigned max_width, unsigned initial) {
+    n_ = n;
+    max_width_ = max_width;
+    initial_ = initial;
+    planes_.resize(bound_width(0));
+    for (unsigned j = 0; j < width(); ++j) {
+      planes_[j].assign(n, (initial >> j) & 1u ? ~sim::LaneMask{0} : sim::LaneMask{0});
+    }
   }
 
-  /// Tightest plane count that can hold `max_value` (clamped to the bound
-  /// width).  Dyadic feedback moves exponents by at most one per round, so
-  /// kernels pass max_value = initial + round + 1 and every sweep below
-  /// skips the provably zero high planes.
-  [[nodiscard]] unsigned width_for(unsigned max_value) const noexcept {
-    return std::min(width_, static_cast<unsigned>(std::bit_width(max_value)));
+  /// Grows the planes to bit_width(initial + round + 1) (at most
+  /// max_width), the bound once `round` ends.  Serial: call it from
+  /// BatchProtocol::begin_round, never while a shard sweeps the planes.
+  void begin_round(std::size_t round) {
+    sim::detail::grow_plane_stack(planes_, bound_width(round), n_);
   }
 
-  /// Bernoulli(2^-k_l) bits for every lane l in `live` of node v.  `width`
-  /// must come from width_for() with a valid bound.
-  [[nodiscard]] sim::LaneMask draw(sim::BatchContext& ctx, graph::NodeId v,
-                                   sim::LaneMask live, unsigned width) {
-    const sim::LaneMask* row = &planes_[static_cast<std::size_t>(v) * width_];
+  /// Planes held: every exponent fits in this many bits.
+  [[nodiscard]] unsigned width() const noexcept {
+    return static_cast<unsigned>(planes_.size());
+  }
+
+  /// Bernoulli(2^-k_l) bits for every lane l in `live` of node v.  The
+  /// chunk planes come from `source.bernoulli_plane_pow2(k, lanes)`, which
+  /// must return independent Bernoulli(2^-k) bits for `lanes` and zero
+  /// elsewhere: the kernels pass their sim::BatchContext, tests a fake.
+  /// It is called once per plane that some still-firing lane has set,
+  /// with k = 2^j.
+  template <typename PlaneSource>
+  [[nodiscard]] sim::LaneMask draw(PlaneSource& source, graph::NodeId v,
+                                   sim::LaneMask live) const {
     sim::LaneMask fire = live;
-    for (unsigned j = 0; j < width && fire != 0; ++j) {
-      const sim::LaneMask need = fire & row[j];
-      if (need) {
-        fire = (fire & ~row[j]) | ctx.bernoulli_plane_pow2(1u << j, need);
-      }
+    for (unsigned j = 0; j < width() && fire != 0; ++j) {
+      const sim::LaneMask row = planes_[j][v];
+      const sim::LaneMask need = fire & row;
+      if (need) fire = (fire & ~row) | source.bernoulli_plane_pow2(1u << j, need);
     }
     return fire;
   }
 
-  /// Lanes of v whose exponent equals `value`, under a width_for() bound.
-  /// A value above the bound (e.g. the sticky-zero probe early in a run)
-  /// costs one compare; otherwise planes walk MSB first and stop once
-  /// every lane differs.
-  [[nodiscard]] sim::LaneMask equal(graph::NodeId v, unsigned value,
-                                    unsigned width) const {
-    if (width < width_ && (value >> width) != 0) return 0;
-    const sim::LaneMask* row = &planes_[static_cast<std::size_t>(v) * width_];
+  /// Lanes of v whose exponent equals `value`.  A value wider than the
+  /// planes (e.g. the sticky-zero probe early in a run) costs one compare;
+  /// otherwise planes walk MSB first and stop once every lane differs.
+  [[nodiscard]] sim::LaneMask equal(graph::NodeId v, unsigned value) const {
+    if ((value >> width()) != 0) return 0;
     sim::LaneMask diff = 0;
-    for (unsigned j = width; j-- > 0;) {
-      diff |= row[j] ^ ((value >> j) & 1u ? ~sim::LaneMask{0} : sim::LaneMask{0});
+    for (unsigned j = width(); j-- > 0;) {
+      diff |= planes_[j][v] ^ ((value >> j) & 1u ? ~sim::LaneMask{0} : sim::LaneMask{0});
       if (diff == ~sim::LaneMask{0}) return 0;
     }
     return ~diff;
@@ -111,47 +132,53 @@ class ExponentPlanes {
   /// k += 1 on `inc` lanes, then k -= 1 on `dec` lanes (disjoint sets).
   /// Callers must exclude lanes that would wrap (all-ones on inc, zero on
   /// dec) via equal() — that keeps saturation policy out of the helper.
+  /// The round bound keeps every carry inside the planes; one that escapes
+  /// means a round ran without begin_round, and throws.
   void update(graph::NodeId v, sim::LaneMask inc, sim::LaneMask dec) {
-    sim::LaneMask* row = &planes_[static_cast<std::size_t>(v) * width_];
     sim::LaneMask carry = inc;
-    for (unsigned j = 0; j < width_ && carry != 0; ++j) {
-      const sim::LaneMask t = row[j];
-      row[j] = t ^ carry;
+    for (unsigned j = 0; j < width() && carry != 0; ++j) {
+      const sim::LaneMask t = planes_[j][v];
+      planes_[j][v] = t ^ carry;
       carry &= t;
     }
     sim::LaneMask borrow = dec;
-    for (unsigned j = 0; j < width_ && borrow != 0; ++j) {
-      const sim::LaneMask t = row[j];
-      row[j] = t ^ borrow;
+    for (unsigned j = 0; j < width() && borrow != 0; ++j) {
+      const sim::LaneMask t = planes_[j][v];
+      planes_[j][v] = t ^ borrow;
       borrow &= ~t;
+    }
+    if ((carry | borrow) != 0) {
+      throw std::logic_error(
+          "ExponentPlanes::update: exponent left the planes (a round ran without "
+          "begin_round, or a caller skipped the saturation gate)");
     }
   }
 
-  /// Set one lane's exponent (maintenance resets; rare, so per-bit cost is
-  /// fine).
+  /// Set one lane's exponent to `value` (maintenance resets; rare, so
+  /// per-bit cost is fine).  `value` must fit in width() bits.
   void set_lane(graph::NodeId v, unsigned lane, unsigned value) {
-    sim::LaneMask* row = &planes_[static_cast<std::size_t>(v) * width_];
     const sim::LaneMask bit = sim::LaneMask{1} << lane;
-    for (unsigned j = 0; j < width_; ++j) {
+    for (unsigned j = 0; j < width(); ++j) {
       if ((value >> j) & 1u) {
-        row[j] |= bit;
+        planes_[j][v] |= bit;
       } else {
-        row[j] &= ~bit;
+        planes_[j][v] &= ~bit;
       }
     }
   }
 
-  /// Set every lane of v to `value` (reset).
-  void set_all(graph::NodeId v, unsigned value) {
-    sim::LaneMask* row = &planes_[static_cast<std::size_t>(v) * width_];
-    for (unsigned j = 0; j < width_; ++j) {
-      row[j] = (value >> j) & 1u ? ~sim::LaneMask{0} : sim::LaneMask{0};
-    }
+ private:
+  /// bit_width(initial + round + 1), clamped to max_width; the round is
+  /// clamped first so the sum cannot wrap.
+  [[nodiscard]] unsigned bound_width(std::size_t round) const noexcept {
+    const auto steps = static_cast<unsigned>(std::min<std::size_t>(round, 1u << max_width_));
+    return std::min(max_width_, static_cast<unsigned>(std::bit_width(initial_ + steps + 1)));
   }
 
- private:
-  unsigned width_ = 0;
-  std::vector<sim::LaneMask> planes_;  ///< node-major: [v * width_ + j]
+  graph::NodeId n_ = 0;
+  unsigned max_width_ = 0;
+  unsigned initial_ = 0;
+  std::vector<std::vector<sim::LaneMask>> planes_;  ///< plane-major: [j][v]
 };
 
 }  // namespace beepmis::mis::batch_skeleton

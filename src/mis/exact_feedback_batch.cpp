@@ -30,6 +30,10 @@ void BatchExactLocalFeedbackMis::reset(const graph::Graph& g,
   }
 }
 
+void BatchExactLocalFeedbackMis::begin_round(std::size_t round) {
+  if (mode_ == sim::BatchRngMode::kStatisticalLanes) eplanes_.begin_round(round);
+}
+
 void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
   if (ctx.exchange() == 0) {
     // Intent exchange: beep with 2^{-min(n, 1074)}.  The clamp mirrors the
@@ -43,15 +47,11 @@ void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
       // Bulk planes over the exponent bitplanes; the draw is the true
       // 2^-k (k <= 4095) rather than the clamped 2^-min(k, 1074) — both
       // are never-in-any-run events, so the marginals are indistinguishable.
-      // Exponents start at 1 and move at most one step per round, so the
-      // sweep skips the provably zero high planes.
-      const unsigned width = eplanes_.width_for(
-          1u + static_cast<unsigned>(std::min<std::size_t>(ctx.round(), kExpMax)));
       for (const graph::NodeId v : ctx.active_nodes()) {
         const LaneMask live = ctx.live_mask(v);
         if (!live) continue;
         winner_[v] = 0;
-        const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
+        const LaneMask beeps = eplanes_.draw(ctx, v, live);
         if (beeps) ctx.beep(v, beeps);
       }
     } else {
@@ -81,15 +81,13 @@ void BatchExactLocalFeedbackMis::react(sim::BatchContext& ctx) {
     if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
       // Whole-plane feedback: one ripple carry/borrow for all 64 lanes,
       // floored at 1 and saturating at the bitplane cap.
-      const unsigned width = eplanes_.width_for(
-          1u + static_cast<unsigned>(std::min<std::size_t>(ctx.round() + 1, kExpMax)));
       for (const graph::NodeId v : ctx.active_nodes()) {
         const LaneMask live = ctx.live_mask(v);
         if (!live) continue;
         const LaneMask heard = ctx.heard_mask(v);
         winner_[v] = ctx.beeped_mask(v) & ~heard;
-        const LaneMask inc = live & heard & ~eplanes_.equal(v, kExpMax, width);
-        const LaneMask dec = live & ~heard & ~eplanes_.equal(v, 1, width);
+        const LaneMask inc = live & heard & ~eplanes_.equal(v, kExpMax);
+        const LaneMask dec = live & ~heard & ~eplanes_.equal(v, 1);
         if ((inc | dec) != 0) eplanes_.update(v, inc, dec);
       }
       return;

@@ -35,6 +35,8 @@ class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
 
   void reset(const graph::Graph& g,
              std::span<support::Xoshiro256StarStar> rngs) override;
+  /// Statistical runs grow the exponent planes to the round bound.
+  void begin_round(std::size_t round) override;
   void emit(sim::BatchContext& ctx) override;
   void react(sim::BatchContext& ctx) override;
   /// Feedback and the announcement outcome read heard only on live
@@ -49,10 +51,11 @@ class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
   /// [v * lanes_ + l].  uint32 like the scalar protocol's (the round cap
   /// bounds it far below overflow).  kScalarOrder only.
   std::vector<std::uint32_t> exponent_;
-  /// kStatisticalLanes representation: 12 exponent bitplanes, saturating
-  /// at 4095 where the scalar exponent is unbounded — reaching the cap
-  /// needs ~4000 consecutive heard rounds while the draw already clamps at
-  /// 2^-1074, so no observable run can tell the difference.
+  /// kStatisticalLanes representation: exponent bitplanes grown with the
+  /// round up to 12, saturating at 4095 where the scalar exponent is
+  /// unbounded — reaching the cap needs ~4000 consecutive heard rounds
+  /// while the draw already clamps at 2^-1074, so no observable run can
+  /// tell the difference.
   batch_skeleton::ExponentPlanes eplanes_;
 };
 

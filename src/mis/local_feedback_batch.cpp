@@ -106,7 +106,8 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
     k_reset_ = static_cast<std::uint16_t>(std::max(k0, k_cap));
     if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
       // Bitplane representation: every reachable exponent is in
-      // [k_min_, kZeroExponent], so 11 planes (2^11 = 2048) cover it.
+      // [k_min_, kZeroExponent], so at most 11 planes (2^11 = 2048) ever
+      // hold it; begin_round grows them from the round-0 bound.
       eplanes_.reset(n, kExpWidth, k_reset_);
       k_.clear();
     } else {
@@ -140,6 +141,10 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
       p = std::min(p, config_.max_p);
     }
   }
+}
+
+void BatchLocalFeedbackMis::begin_round(std::size_t round) {
+  if (dyadic_ && mode_ == sim::BatchRngMode::kStatisticalLanes) eplanes_.begin_round(round);
 }
 
 void BatchLocalFeedbackMis::reset_lane_probability(graph::NodeId v, unsigned lane) {
@@ -196,16 +201,11 @@ void BatchLocalFeedbackMis::emit_intent_dyadic_planes(sim::BatchContext& ctx) {
   // lane.  (A lane at the exact-zero exponent fires with true probability
   // 2^-1075 here instead of never — unobservable, and closer to the ideal
   // protocol than the double underflow.)
-  // Exponents move at most one step per round, so planes above
-  // bit_width(k_reset + round) are provably zero and the sweep skips them.
-  const unsigned width = eplanes_.width_for(
-      static_cast<unsigned>(k_reset_) + static_cast<unsigned>(
-          std::min<std::size_t>(ctx.round(), kZeroExponent)));
   for (const graph::NodeId v : ctx.active_nodes()) {
     const LaneMask live = ctx.live_mask(v);
     if (!live) continue;
     winner_[v] = 0;
-    const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
+    const LaneMask beeps = eplanes_.draw(ctx, v, live);
     if (beeps) ctx.beep(v, beeps);
   }
 }
@@ -259,14 +259,11 @@ void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
       // Whole-plane feedback: the +-1 exponent updates of all 64 lanes are
       // one ripple carry/borrow over the bitplanes, gated by the same
       // sticky-zero and k_min rules as the per-lane loop below.  Until
-      // round ~1075 the sticky-zero probe is a single compare (no lane can
-      // have reached it yet).
-      const unsigned width = eplanes_.width_for(
-          static_cast<unsigned>(k_reset_) + static_cast<unsigned>(
-              std::min<std::size_t>(ctx.round() + 1, kZeroExponent)));
-      const LaneMask movable = live & ~eplanes_.equal(v, kZeroExponent, width);
+      // the planes grow to 11 bits (round ~1024) the sticky-zero probe is a
+      // single compare (no lane can have reached it yet).
+      const LaneMask movable = live & ~eplanes_.equal(v, kZeroExponent);
       const LaneMask inc = movable & heard;
-      const LaneMask dec = movable & ~heard & ~eplanes_.equal(v, k_min_, width);
+      const LaneMask dec = movable & ~heard & ~eplanes_.equal(v, k_min_);
       if ((inc | dec) != 0) eplanes_.update(v, inc, dec);
       continue;
     }

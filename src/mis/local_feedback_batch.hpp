@@ -33,6 +33,8 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
 
   void reset(const graph::Graph& g,
              std::span<support::Xoshiro256StarStar> rngs) override;
+  /// Statistical dyadic runs grow the exponent planes to the round bound.
+  void begin_round(std::size_t round) override;
   void emit(sim::BatchContext& ctx) override;
   void react(sim::BatchContext& ctx) override;
   /// Feedback and the announcement outcome read heard only on live

@@ -18,14 +18,14 @@ void BatchContext::join_mis(graph::NodeId v, LaneMask lanes) {
   }
   (*live_)[v] &= ~lanes;
   (*inmis_)[v] |= lanes;
-  // Per-lane join order, like the scalar core (consumed by kScalarOrder
-  // lossy keep-alive; absent in kStatisticalLanes).
+  // Per-lane join order, like the scalar core (wired only for kScalarOrder
+  // lossy keep-alive, its one reader).
   if (mis_lists_ != nullptr) {
     for (LaneMask b = lanes; b != 0; b &= b - 1) {
       (*mis_lists_)[std::countr_zero(b)].push_back(v);
     }
   }
-  mis_joins_->push_back(v);
+  if (mis_joins_ != nullptr) mis_joins_->push_back(v);
 }
 
 void BatchContext::deactivate(graph::NodeId v, LaneMask lanes) {

@@ -160,11 +160,12 @@ class BatchContext {
   /// Bit-sliced beep counters (LanePlanes::beep_planes); the engine
   /// grows them at round boundaries, shards write only their own rows.
   std::vector<std::vector<LaneMask>>* beep_planes_ = nullptr;
-  /// Per-lane live-MIS join-order lists; nullptr in kStatisticalLanes,
-  /// where nothing consumes join order.
+  /// Per-lane live-MIS join-order lists; nullptr unless the run is
+  /// kScalarOrder, lossy and keep-alive, the one regime that reads them.
   std::vector<std::vector<graph::NodeId>>* mis_lists_ = nullptr;
   /// This shard's new-joins list, merged (and deduplicated) into the
-  /// global MIS union by the coordinator at the round boundary.
+  /// global MIS union by the coordinator at the round boundary; nullptr
+  /// without keep-alive, the union's one reader.
   std::vector<graph::NodeId>* mis_joins_ = nullptr;
   std::vector<graph::NodeId>* reactivated_ = nullptr;
   std::uint64_t* reactivation_counts_ = nullptr;  ///< per-lane
@@ -196,6 +197,10 @@ class BatchProtocol {
   /// must match the scalar reset).
   virtual void reset(const graph::Graph& g,
                      std::span<support::Xoshiro256StarStar> rngs) = 0;
+  /// Called serially at the top of every round the run executes (round 0
+  /// included), before any shard's emit and while no shard runs: the
+  /// place to grow round-bounded state, so the hot path takes no lock.
+  virtual void begin_round(std::size_t /*round*/) {}
   /// Decide which (node, lane) pairs beep this exchange (ctx.beep).
   virtual void emit(BatchContext& ctx) = 0;
   /// Observe heard/beeped planes; request joins/deactivations.

@@ -353,19 +353,29 @@ inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round
   }
 }
 
+/// Grows a plane-major stack of bit-sliced per-node values (plane j holds
+/// bit j of every lane's value at node v) to `width` planes of n rows.
+/// New planes start zeroed, which is correct exactly when every value
+/// already fits in the old width.
+inline void grow_plane_stack(std::vector<std::vector<LaneMask>>& planes, std::size_t width,
+                             graph::NodeId n) {
+  while (planes.size() < width) planes.emplace_back(n, LaneMask{0});
+}
+
 /// Round-boundary growth of the bit-sliced beep counters
 /// (LanePlanes::beep_planes): a node starts at most one episode per
 /// exchange, so once round `round` ends every count is at most
 /// (round + 1) · exchanges, and that many bits' worth of planes hold it.
-/// Called before the round runs; new planes start zeroed.  Front-ends
-/// reserve kMaxBeepPlanes up front, so growth never moves the outer
-/// vector under a context that points into it.
+/// Called before the round runs.  Front-ends reserve kMaxBeepPlanes up
+/// front, so growth never moves the outer vector under a context that
+/// points into it.
 inline void grow_beep_planes(std::vector<std::vector<LaneMask>>& planes, std::size_t round,
                              unsigned exchanges, graph::NodeId n) {
   const auto bound = static_cast<std::uint64_t>(round + 1) * exchanges;
-  const std::size_t width =
-      std::min<std::size_t>(kMaxBeepPlanes, static_cast<std::size_t>(std::bit_width(bound)));
-  while (planes.size() < width) planes.emplace_back(n, LaneMask{0});
+  grow_plane_stack(
+      planes,
+      std::min<std::size_t>(kMaxBeepPlanes, static_cast<std::size_t>(std::bit_width(bound))),
+      n);
 }
 
 /// Reliable plane delivery: one adjacency pass serves every lane via

@@ -55,6 +55,8 @@ ShardedBatchSimulator::ShardedBatchSimulator(unsigned shards, SimConfig config,
   }
   lossy_ = config_.beep_loss_probability > 0.0;
   keep_ = 1.0 - config_.beep_loss_probability;
+  keep_join_order_ =
+      rng_mode_ == BatchRngMode::kScalarOrder && lossy_ && config_.mis_keepalive;
 }
 
 ShardedBatchSimulator::ShardedBatchSimulator(const graph::Graph& g, unsigned shards,
@@ -173,13 +175,13 @@ LanePlanes ShardedBatchSimulator::run_lanes(BatchProtocol& protocol, unsigned la
   prev_beeped_.assign(n, 0);
   heard_.assign(n, 0);
   in_active_.assign(n, 0);
-  in_mis_union_.assign(n, 0);
   mis_union_.clear();
   if (config_.mis_keepalive) {
+    in_mis_union_.assign(n, 0);
     if (partitioned()) mis_mask_.assign(n, 0);
     mis_hear_mask_.assign(n, 0);
   }
-  if (rng_mode_ == BatchRngMode::kScalarOrder) {
+  if (keep_join_order_) {
     mis_lists_.resize(lanes);
     for (auto& list : mis_lists_) list.clear();
   }
@@ -257,9 +259,10 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
     return;
   }
   if (!first_pass_) {
-    // Merge per-shard MIS joins into the global union.  Joins happen only
-    // in the final exchange (kernel contract), so merging at the round
-    // boundary exposes the union before the next round's first delivery.
+    // Merge per-shard MIS joins into the global union (keep-alive runs
+    // only; other runs record no joins).  Joins happen only in the final
+    // exchange (kernel contract), so merging at the round boundary
+    // exposes the union before the next round's first delivery.
     // A node already in the union can join again in other lanes (later in
     // the round, or in a later round); the bitmap keeps the union a set.
     for (Shard& shard : shards_) {
@@ -297,6 +300,7 @@ void ShardedBatchSimulator::coordinate_round_boundary() {
                                 running_, terminated_);
   if (running_ != 0) {
     detail::grow_beep_planes(beep_planes_, round_, exchanges_, graph_->node_count());
+    protocol_->begin_round(round_);
   }
 }
 
@@ -315,7 +319,7 @@ void ShardedBatchSimulator::coordinate_exchange_top(unsigned exchange) {
   if (mis_crashed) {
     // A crashed member falls out of every keep-alive frontier the round
     // it fails, exactly like the scalar mis_nodes_ compaction.
-    if (rng_mode_ == BatchRngMode::kScalarOrder) {
+    if (keep_join_order_) {
       for (LaneMask b = mis_crashed; b != 0; b &= b - 1) {
         const unsigned l = static_cast<unsigned>(std::countr_zero(b));
         std::erase_if(mis_lists_[l], [this, l](graph::NodeId v) {
@@ -487,9 +491,10 @@ void ShardedBatchSimulator::shard_worker(unsigned s) {
   ctx.heard_ = &heard_;
   ctx.beepers_ = &shard.beepers;
   ctx.beep_planes_ = &beep_planes_;
-  // Only kScalarOrder consumes join order (lossy keep-alive draws).
-  ctx.mis_lists_ = rng_mode_ == BatchRngMode::kScalarOrder ? &mis_lists_ : nullptr;
-  ctx.mis_joins_ = &shard.joined;
+  // Joins feed only keep-alive: the union for every keep-alive run, the
+  // per-lane join order for scalar-order lossy ones.
+  ctx.mis_lists_ = keep_join_order_ ? &mis_lists_ : nullptr;
+  ctx.mis_joins_ = config_.mis_keepalive ? &shard.joined : nullptr;
   ctx.reactivated_ = &shard.reactivated;
   ctx.reactivation_counts_ = shard.reactivation_counts.data();
   ctx.running_ = &running_;

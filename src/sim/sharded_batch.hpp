@@ -23,9 +23,10 @@
 //   react    each shard runs the kernel's react over its own slice
 //            (BatchContext::node_begin/node_end is the shard range);
 //   merge    at round boundaries the coordinator (shard 0) merges
-//            per-shard MIS joins into the global union, ORs the
-//            shards' nonempty-lane masks and retires finished lanes with
-//            the shared detail::retire_finished_lanes.
+//            per-shard MIS joins into the global union (keep-alive runs
+//            only), ORs the shards' nonempty-lane masks, retires finished
+//            lanes with the shared detail::retire_finished_lanes and calls
+//            the kernel's begin_round hook.
 //
 // At K = 1 the lone shard covers [0, n), builds no partition and reads
 // the full adjacency; a lone worker runs inline, so no thread is spawned.
@@ -172,7 +173,7 @@ class ShardedBatchSimulator {
     std::vector<graph::NodeId> boundary_beepers;
     std::vector<graph::NodeId> prev_beepers;
     std::vector<graph::NodeId> heard_dirty;
-    std::vector<graph::NodeId> joined;       ///< new MIS joins this round
+    std::vector<graph::NodeId> joined;       ///< new MIS joins this round (keep-alive only)
     std::vector<graph::NodeId> reactivated;  ///< self-healing, this range
     /// Reliable keep-alive cache: listeners in this range with any
     /// keep-alive lane, masks in the shared mis_hear_mask_ (disjoint
@@ -221,11 +222,14 @@ class ShardedBatchSimulator {
   std::vector<std::uint8_t> in_active_;
 
   /// Global MIS union (any lane, ever) in join-merge order; mutated only
-  /// by the coordinator between parallel phases.
+  /// by the coordinator between parallel phases.  Keep-alive is its only
+  /// reader, so without SimConfig::mis_keepalive it stays empty and the
+  /// shards record no joins.
   std::vector<graph::NodeId> mis_union_;
   std::vector<std::uint8_t> in_mis_union_;
-  /// Per-lane live MIS in join order (kScalarOrder only: lossy keep-alive
-  /// draws iterate it); crashed members are compacted out each round.
+  /// Per-lane live MIS in join order, kept only when keep_join_order_
+  /// (scalar-order lossy keep-alive draws iterate it); crashed members are
+  /// compacted out each round.
   std::vector<std::vector<graph::NodeId>> mis_lists_;
   /// Coordinator's snapshot of inmis_ over the union, re-taken whenever
   /// membership changes (joins merged, members crashed): shards read the
@@ -254,6 +258,8 @@ class ShardedBatchSimulator {
   bool first_pass_ = true;
   bool mis_dirty_ = false;
   bool lossy_ = false;
+  /// kScalarOrder, lossy and keep-alive: the one regime that reads join order.
+  bool keep_join_order_ = false;
   double keep_ = 1.0;
   unsigned exchanges_ = 2;
   unsigned lane_count_ = 0;

@@ -3,7 +3,11 @@
 // n = 2^18 G(n, 8/n) must grow the process peak RSS by less than
 // kBudgetPerNode bytes per node.  A node-major uint32 beep-count matrix
 // alone costs 64 · 4 = 256 bytes per node, so the budget rules it out;
-// the bit-sliced counter planes cost 8 bytes per plane per node.
+// the bit-sliced counter planes cost 8 bytes per plane per node.  The
+// batch measures ~185 B/node with round-bounded exponent planes (only
+// the widths its rounds reach) and no MIS union without keep-alive; with
+// a fixed 11 exponent planes and the union it measured ~239, so the
+// budget (~12% above 185) pins that saving.
 // Registered as its own ctest binary (NOT part of beepmis_tests) for the
 // same reason as stream_rss_check: peak RSS is process-wide.
 #include <cstdint>
@@ -54,7 +58,7 @@ int main() {
 #endif
   constexpr unsigned kLanes = 64;
   constexpr unsigned kShards = 2;
-  constexpr std::uint64_t kBudgetPerNode = 256;
+  constexpr std::uint64_t kBudgetPerNode = 208;
 
   support::Xoshiro256StarStar graph_rng(18);
   const graph::Graph g = graph::gnp(kNodes, 8.0 / kNodes, graph_rng);

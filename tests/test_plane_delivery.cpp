@@ -54,6 +54,7 @@ class PushOnly final : public sim::BatchProtocol {
   void reset(const graph::Graph& g, std::span<support::Xoshiro256StarStar> rngs) override {
     inner_->reset(g, rngs);
   }
+  void begin_round(std::size_t round) override { inner_->begin_round(round); }
   void emit(sim::BatchContext& ctx) override { inner_->emit(ctx); }
   void react(sim::BatchContext& ctx) override { inner_->react(ctx); }
 
