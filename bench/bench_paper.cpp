@@ -267,7 +267,9 @@ int main(int argc, char** argv) {
 
   // ---- Figure 5 and the grid remark -------------------------------------
   std::vector<harness::Figure5Row> fig5;
-  const double fig5_s = wall_seconds([&] { fig5 = harness::figure5_experiment(fig5_ns, config); });
+  // Reuses Figure 3's global and local trials at the sizes both figures run.
+  const double fig5_s =
+      wall_seconds([&] { fig5 = harness::figure5_experiment(fig5_ns, config, fig3); });
   std::cout << "=== Figure 5: mean beeps per node on G(n, 1/2), " << config.trials
             << " trials/point ===\n\n";
   harness::print_with_csv(std::cout, harness::figure5_table(fig5));

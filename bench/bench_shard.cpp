@@ -17,6 +17,10 @@
 // per shard, so rows report hardware_threads in the header — on a 1-core
 // box the k > 1 rows measure pure overhead, not speedup.
 //
+// The statistical rows also report verify_ms: the best-of-reps wall time
+// of mis::verify_mis_planes over the whole graph on one run's planes, the
+// verification the sweep harness runs after every 64-lane batch.
+//
 // A build configured with -DBEEPMIS_PHASE_TIMERS=ON adds an optional
 // "phase_ns" object to every row: CPU-nanoseconds per simulator phase
 // (emit/deliver/react/faults) over that row's timing reps.
@@ -72,6 +76,11 @@ struct Measurement {
   std::size_t cut_edges = 0;
   std::size_t boundary_nodes = 0;
   std::string phase;  ///< pre-rendered ", \"phase_ns\": {...}" or empty
+  /// Statistical rows only (else negative, and not written): best-of-reps
+  /// wall time of mis::verify_mis_planes over [0, n) on one run's planes,
+  /// the per-batch verification the sweep harness runs after the row's
+  /// simulation.  Report-only; the regression checker ignores it.
+  double verify_ms = -1.0;
 };
 
 using benchcommon::best_wall_ms;
@@ -149,14 +158,14 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << g.describe() << ", hardware threads: " << hardware << "\n\n";
 
   std::vector<Measurement> results;
-  support::Table table(
-      {"workload", "impl", "mode", "shards", "lanes", "cut edges", "wall ms", "speedup"});
+  support::Table table({"workload", "impl", "mode", "shards", "lanes", "cut edges", "wall ms",
+                        "speedup", "verify ms"});
   const auto record = [&](const std::string& workload, const std::string& impl,
                           const char* mode, unsigned shards, unsigned lanes, double ms,
                           double speedup, std::size_t cut_edges, std::size_t boundary_nodes,
-                          std::string phase) {
+                          std::string phase, double verify_ms = -1.0) {
     results.push_back({workload, impl, mode, n, shards, lanes, ms, speedup, cut_edges,
-                       boundary_nodes, std::move(phase)});
+                       boundary_nodes, std::move(phase), verify_ms});
     table.new_row()
         .cell(workload)
         .cell(impl)
@@ -166,6 +175,15 @@ int main(int argc, char** argv) {
         .cell(cut_edges)
         .cell(ms)
         .cell(speedup);
+    if (verify_ms >= 0) {
+      table.cell(verify_ms);
+    } else {
+      table.cell("-");
+    }
+  };
+  /// Best-of-`reps` wall time of verifying `planes` over [0, n).
+  const auto verify_ms_of = [&](const sim::LanePlanes& planes) {
+    return best_wall_ms(reps, [&] { (void)mis::verify_mis_planes(g, planes, 0, n); });
   };
   const auto partition_stats = [](const graph::Partition& p, std::size_t& cut,
                                   std::size_t& boundary) {
@@ -237,8 +255,10 @@ int main(int argc, char** argv) {
       const double batch_ms = timed(reps, phase, [&] {
         (void)batch_sim.run(g, *kernel, support::Xoshiro256StarStar(seed), lanes);
       });
+      const double batch_verify_ms = verify_ms_of(
+          batch_sim.run_planes(g, *kernel, support::Xoshiro256StarStar(seed), lanes));
       record(workload, "batched", "statistical", 1, lanes, batch_ms,
-             scalar_ms * lanes / batch_ms, 0, 0, phase);
+             scalar_ms * lanes / batch_ms, 0, 0, phase, batch_verify_ms);
 
       for (const unsigned k : shard_counts) {
         sim::ShardedBatchSimulator sb_sim(g, k, config);
@@ -260,8 +280,10 @@ int main(int argc, char** argv) {
         });
         std::size_t cut = 0, boundary = 0;  // one shard builds no partition
         if (k > 1) partition_stats(sb_sim.partition(), cut, boundary);
+        const double sb_verify_ms =
+            verify_ms_of(sb_sim.run_planes(*kernel, support::Xoshiro256StarStar(seed), lanes));
         record(workload, "sharded-k" + std::to_string(k) + "-batched", "statistical", k,
-               lanes, ms, scalar_ms * lanes / ms, cut, boundary, phase);
+               lanes, ms, scalar_ms * lanes / ms, cut, boundary, phase, sb_verify_ms);
       }
     }
     return 0;
@@ -294,7 +316,9 @@ int main(int argc, char** argv) {
         << ", \"lanes\": " << m.lanes << ", \"cut_edges\": " << m.cut_edges
         << ", \"boundary_nodes\": " << m.boundary_nodes
         << ", \"wall_ms\": " << m.wall_ms
-        << ", \"speedup_vs_scalar\": " << m.speedup_vs_scalar << m.phase << "}";
+        << ", \"speedup_vs_scalar\": " << m.speedup_vs_scalar;
+    if (m.verify_ms >= 0) row << ", \"verify_ms\": " << m.verify_ms;
+    row << m.phase << "}";
     report.rows.push_back(row.str());
   }
   return report.write_to(options.get("out"), std::cout) ? 0 : 1;

@@ -193,6 +193,31 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("ok:", out)
 
+    def test_verify_ms_field_is_report_only(self):
+        # bench_shard's statistical rows carry verify_ms, the plane
+        # verifier's wall time on the row's planes.  It is recorded, never
+        # gated: a fresh row with it compares clean against a baseline row
+        # without it (and back), however large it gets, and it does not
+        # mask a real speedup regression on the same row.
+        def shard_row(speedup, **extra):
+            r = row("converge", "sharded-k2-batched", 100000, speedup,
+                    mode="statistical")
+            r["lanes"] = 64
+            r.update(extra)
+            return r
+        plain = report({"shard": [shard_row(6.0)]})
+        timed = report({"shard": [shard_row(6.0, verify_ms=13.1)]})
+        slow = report({"shard": [shard_row(6.0, verify_ms=1.0e9)]})
+        for base, fresh in ((plain, timed), (timed, plain), (timed, slow)):
+            code, out = self.run_checker(base, fresh, "--strict")
+            self.assertEqual(code, 0, out)
+            self.assertIn("ok:", out)
+            self.assertNotIn("verify_ms", out)
+        regressed = report({"shard": [shard_row(1.0, verify_ms=13.1)]})
+        code, out = self.run_checker(plain, regressed, "--strict")
+        self.assertEqual(code, 1, out)
+        self.assertIn("possible regression", out)
+
     def test_missing_mode_defaults_to_scalar_order(self):
         # Pre-statistical baselines have no "mode" field; their rows must
         # compare against the fresh scalar-order rows, not vanish as lost

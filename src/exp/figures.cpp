@@ -1,5 +1,6 @@
 #include "exp/figures.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -63,13 +64,18 @@ std::vector<Figure3Row> figure3_experiment(std::span<const std::size_t> ns,
     row.local_stddev = local.rounds.stddev();
     row.reference_log2_squared = mis::figure3_global_reference(n);
     row.reference_25_log2 = mis::figure3_local_reference(n);
+    row.global_beeps_mean = global.beeps_per_node.mean();
+    row.global_beeps_stddev = global.beeps_per_node.stddev();
+    row.local_beeps_mean = local.beeps_per_node.mean();
+    row.local_beeps_stddev = local.beeps_per_node.stddev();
     rows.push_back(row);
   }
   return rows;
 }
 
 std::vector<Figure5Row> figure5_experiment(std::span<const std::size_t> ns,
-                                           const ExperimentConfig& config) {
+                                           const ExperimentConfig& config,
+                                           std::span<const Figure3Row> figure3) {
   std::vector<Figure5Row> rows;
   rows.reserve(ns.size());
   for (const std::size_t n : ns) {
@@ -85,21 +91,30 @@ std::vector<Figure5Row> figure5_experiment(std::span<const std::size_t> ns,
           std::make_unique<mis::IncreasingSchedule>(degree_estimate, n));
     };
 
-    const TrialStats global =
-        run_beep_trials(graphs, global_sweep_factory(), make_trial_config(config, n * 2));
     const TrialStats increasing = run_beep_trials(graphs, increasing_factory,
                                                   make_trial_config(config, n * 3 + 2));
-    const TrialStats local = run_beep_trials(graphs, local_feedback_factory(),
-                                             make_trial_config(config, n * 2 + 1));
-
     Figure5Row row;
     row.n = n;
-    row.global_mean = global.beeps_per_node.mean();
-    row.global_stddev = global.beeps_per_node.stddev();
     row.increasing_mean = increasing.beeps_per_node.mean();
     row.increasing_stddev = increasing.beeps_per_node.stddev();
-    row.local_mean = local.beeps_per_node.mean();
-    row.local_stddev = local.beeps_per_node.stddev();
+    const auto shared = std::find_if(figure3.begin(), figure3.end(),
+                                     [n](const Figure3Row& r) { return r.n == n; });
+    if (shared != figure3.end()) {
+      row.global_mean = shared->global_beeps_mean;
+      row.global_stddev = shared->global_beeps_stddev;
+      row.local_mean = shared->local_beeps_mean;
+      row.local_stddev = shared->local_beeps_stddev;
+    } else {
+      // Figure 3's salts: these are the trials it would have run here.
+      const TrialStats global =
+          run_beep_trials(graphs, global_sweep_factory(), make_trial_config(config, n * 2));
+      const TrialStats local = run_beep_trials(graphs, local_feedback_factory(),
+                                               make_trial_config(config, n * 2 + 1));
+      row.global_mean = global.beeps_per_node.mean();
+      row.global_stddev = global.beeps_per_node.stddev();
+      row.local_mean = local.beeps_per_node.mean();
+      row.local_stddev = local.beeps_per_node.stddev();
+    }
     rows.push_back(row);
   }
   return rows;

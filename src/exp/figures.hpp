@@ -23,13 +23,17 @@ struct ExperimentConfig {
 };
 
 /// One point of Figure 3: mean/stddev time steps on G(n, 1/2) for the two
-/// beeping algorithms, plus the paper's two reference curves.
+/// beeping algorithms, plus the paper's two reference curves.  The same
+/// trials' beeps per node are kept too: they are Figure 5's global and
+/// local points at this n.
 struct Figure3Row {
   std::size_t n = 0;
   double global_mean = 0, global_stddev = 0;
   double local_mean = 0, local_stddev = 0;
   double reference_log2_squared = 0;  ///< (log2 n)^2, the upper dashed line
   double reference_25_log2 = 0;       ///< 2.5 log2 n, the lower dotted line
+  double global_beeps_mean = 0, global_beeps_stddev = 0;
+  double local_beeps_mean = 0, local_beeps_stddev = 0;
 };
 [[nodiscard]] std::vector<Figure3Row> figure3_experiment(std::span<const std::size_t> ns,
                                                          const ExperimentConfig& config);
@@ -44,8 +48,13 @@ struct Figure5Row {
   double increasing_mean = 0, increasing_stddev = 0;
   double local_mean = 0, local_stddev = 0;
 };
-[[nodiscard]] std::vector<Figure5Row> figure5_experiment(std::span<const std::size_t> ns,
-                                                         const ExperimentConfig& config);
+/// Figure 5's global and local series run the very trials of Figure 3
+/// (same seeds, same graphs), so at an n that `figure3` (rows of
+/// figure3_experiment under the same config) holds they are read from its
+/// row instead of re-run; only the increasing schedule runs there.
+[[nodiscard]] std::vector<Figure5Row> figure5_experiment(
+    std::span<const std::size_t> ns, const ExperimentConfig& config,
+    std::span<const Figure3Row> figure3 = {});
 
 /// Beeps per node for local feedback on rectangular grids (§5: "around
 /// 1.1" for grid graphs).

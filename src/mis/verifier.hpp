@@ -69,6 +69,14 @@ struct LaneVerification {
 /// the planes do not match the graph (a status or counter plane of the
 /// wrong length, more than sim::kMaxBeepPlanes counter planes, per-lane
 /// arrays not sized to `lanes`) or the range is out of bounds.
+///
+/// Cost: one neighbour load per edge of the range when no lane crashed at
+/// any node of the graph (one sequential pass over the crashed plane
+/// decides that per call), else two (in-MIS and crashed); an edge that
+/// joins two members is counted only after a node's scan finds one.  Per
+/// node, a fixed number of word operations per counter plane reduce the
+/// beeps, and the rare nonzero crashed, active, uncovered and violation
+/// masks cost one step per set bit.  No per-node scratch is allocated.
 [[nodiscard]] std::vector<LaneVerification> verify_mis_planes(const graph::Graph& g,
                                                               const sim::LanePlanes& planes,
                                                               graph::NodeId begin,

@@ -68,6 +68,27 @@ TEST(Figure5, BeepsPerNodeColumns) {
   EXPECT_NE(figure5_plot(rows).find("Figure 5"), std::string::npos);
 }
 
+TEST(Figure5, ReusesFigure3TrialsBitIdentically) {
+  // Given Figure 3's rows, the shared sizes (20, 40) read their global and
+  // local points from them; 30 is run afresh.  Every field must equal a
+  // run that re-simulates everything.
+  const std::vector<std::size_t> fig3_ns{20, 40};
+  const std::vector<std::size_t> fig5_ns{20, 30, 40};
+  const auto fig3 = figure3_experiment(fig3_ns, fast_config());
+  const auto reused = figure5_experiment(fig5_ns, fast_config(), fig3);
+  const auto fresh = figure5_experiment(fig5_ns, fast_config());
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused[i].n, fresh[i].n);
+    EXPECT_EQ(reused[i].global_mean, fresh[i].global_mean) << "n=" << fresh[i].n;
+    EXPECT_EQ(reused[i].global_stddev, fresh[i].global_stddev) << "n=" << fresh[i].n;
+    EXPECT_EQ(reused[i].increasing_mean, fresh[i].increasing_mean) << "n=" << fresh[i].n;
+    EXPECT_EQ(reused[i].increasing_stddev, fresh[i].increasing_stddev) << "n=" << fresh[i].n;
+    EXPECT_EQ(reused[i].local_mean, fresh[i].local_mean) << "n=" << fresh[i].n;
+    EXPECT_EQ(reused[i].local_stddev, fresh[i].local_stddev) << "n=" << fresh[i].n;
+  }
+}
+
 TEST(GridBeeps, SmallConstantOnGrids) {
   const std::vector<std::size_t> sides{6, 10};
   const auto rows = grid_beeps_experiment(sides, fast_config());

@@ -129,6 +129,19 @@ struct PlaneState {
   }
 };
 
+/// Rebuilds `width` bit-sliced counter planes from st.beep_counts.
+void encode_counts(PlaneState& st, graph::NodeId n, unsigned width) {
+  st.beep_planes.assign(width, std::vector<sim::LaneMask>(n, 0));
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (unsigned l = 0; l < st.lanes; ++l) {
+      const std::uint32_t count = st.beep_counts[static_cast<std::size_t>(v) * st.lanes + l];
+      for (unsigned b = 0; b < width; ++b) {
+        if ((count >> b) & 1u) st.beep_planes[b][v] |= sim::LaneMask{1} << l;
+      }
+    }
+  }
+}
+
 /// A random final state: per lane a greedy MIS over a random order, then
 /// injected faults — adjacent members (independence violations), members
 /// demoted to dominated (uncovered neighbours), still-active nodes, and
@@ -146,15 +159,7 @@ PlaneState random_planes(const graph::Graph& g, unsigned lanes, std::uint64_t se
   // across planes and the max compare meets ties on high planes.
   st.beep_counts.resize(static_cast<std::size_t>(n) * lanes);
   for (std::uint32_t& b : st.beep_counts) b = static_cast<std::uint32_t>(rng() % 301);
-  st.beep_planes.assign(9, std::vector<sim::LaneMask>(n, 0));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    for (unsigned l = 0; l < lanes; ++l) {
-      const std::uint32_t count = st.beep_counts[static_cast<std::size_t>(v) * lanes + l];
-      for (unsigned b = 0; b < 9; ++b) {
-        if ((count >> b) & 1u) st.beep_planes[b][v] |= sim::LaneMask{1} << l;
-      }
-    }
-  }
+  encode_counts(st, n, 9);
   st.rounds.resize(lanes);
   st.reactivations.assign(lanes, 0);
   std::vector<graph::NodeId> order(n);
@@ -194,9 +199,14 @@ PlaneState random_planes(const graph::Graph& g, unsigned lanes, std::uint64_t se
   return st;
 }
 
-void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t seed,
-                           const std::vector<graph::NodeId>& cuts, const std::string& what) {
-  const PlaneState st = random_planes(g, lanes, seed);
+/// Verifies `st` over the ranges between `cuts`, merges them last to
+/// first, and checks every lane against verify_mis_run on the extracted
+/// RunResult and against the drawn beep counts.  Stores the largest lane
+/// beep total in `largest_total` when given.
+void expect_state_matches_scalar(const graph::Graph& g, const PlaneState& st,
+                                 const std::vector<graph::NodeId>& cuts, const std::string& what,
+                                 std::uint64_t* largest_total = nullptr) {
+  const unsigned lanes = st.lanes;
   const sim::LanePlanes planes = st.view();
   std::vector<graph::NodeId> bounds = cuts;
   bounds.push_back(0);
@@ -234,6 +244,7 @@ void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t 
     EXPECT_EQ(results[l].total_beeps, drawn_total) << at;
     EXPECT_EQ(merged[l].total_beeps, drawn_total) << at;
     EXPECT_EQ(merged[l].max_beeps, drawn_max) << at;
+    if (largest_total != nullptr) *largest_total = std::max(*largest_total, drawn_total);
     violations += want.independence_violations;
     uncovered += want.uncovered_nodes;
     active += want.still_active;
@@ -246,6 +257,11 @@ void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t 
   if (lanes > 2) {
     EXPECT_GT(crashed, 0u) << what;
   }
+}
+
+void expect_matches_scalar(const graph::Graph& g, unsigned lanes, std::uint64_t seed,
+                           const std::vector<graph::NodeId>& cuts, const std::string& what) {
+  expect_state_matches_scalar(g, random_planes(g, lanes, seed), cuts, what);
 }
 
 TEST(Verifier, PlaneVerifierMatchesScalarOnGnp) {
@@ -265,6 +281,87 @@ TEST(Verifier, PlaneVerifierMatchesScalarOnGrid) {
     expect_matches_scalar(g, lanes, 47 + lanes, {23, 24, 200, 390},
                           "grid split lanes=" + std::to_string(lanes));
   }
+}
+
+/// Redraws every count of `st` to fill `width` planes: a quarter of them
+/// are the width's largest count, 2^width - 1, the rest uniform up to it.
+void fill_counts(PlaneState& st, graph::NodeId n, unsigned width, std::uint64_t seed) {
+  support::Xoshiro256StarStar rng(seed);
+  const std::uint64_t top = (std::uint64_t{1} << width) - 1;
+  for (std::uint32_t& b : st.beep_counts) {
+    b = static_cast<std::uint32_t>(rng() % 4 == 0 ? top : rng() % (top + 1));
+  }
+  encode_counts(st, n, width);
+}
+
+TEST(Verifier, PlaneVerifierMatchesScalarAtEveryPlaneCount) {
+  // Every counter width a run can grow to, each filled up to its largest
+  // count, on lane counts at and next to the word's edges.  The cuts at 3
+  // and 301 sit on no power-of-two boundary, and the middle range holds
+  // more nodes than a bit-sliced lane counter takes between flushes.
+  auto rng = support::Xoshiro256StarStar(0x51ce);
+  const graph::Graph g = graph::gnp(600, 0.01, rng);
+  for (unsigned width = 0; width <= sim::kMaxBeepPlanes; ++width) {
+    for (const unsigned lanes : {1u, 37u, 63u, 64u}) {
+      PlaneState st = random_planes(g, lanes, 101 + width * 64 + lanes);
+      fill_counts(st, g.node_count(), width, 202 + width * 64 + lanes);
+      std::uint64_t largest_total = 0;
+      expect_state_matches_scalar(
+          g, st, {3, 301}, "width=" + std::to_string(width) + " lanes=" + std::to_string(lanes),
+          &largest_total);
+      if (width == sim::kMaxBeepPlanes) {
+        EXPECT_GT(largest_total, std::uint64_t{1} << 32) << "lanes=" << lanes;
+      }
+    }
+  }
+
+  // Ranges of tens of thousands of nodes, cut off any power of two.
+  const graph::Graph long_path = graph::path(70'001);
+  PlaneState st = random_planes(long_path, 64, 303);
+  fill_counts(st, long_path.node_count(), 12, 404);
+  expect_state_matches_scalar(long_path, st, {12'345, 65'601}, "path n=70001");
+}
+
+TEST(Verifier, PlaneVerifierHonoursCrashesOutsideTheRange) {
+  // Path 0-...-7, one lane.  Nodes 1 and 6 crashed with stale in-MIS bits,
+  // node 4 is the only live member.  The range [2, 6) holds no crashed
+  // node, yet node 2's cover would come only from crashed node 1.
+  const graph::Graph g = graph::path(8);
+  PlaneState st;
+  st.lanes = 1;
+  st.crashed = {0, 1, 0, 0, 0, 0, 1, 0};
+  st.inmis = {0, 1, 0, 0, 1, 0, 1, 0};
+  st.dominated = {1, 0, 1, 1, 0, 1, 0, 1};
+  st.beep_counts.assign(8, 0);
+  encode_counts(st, 8, 0);
+  st.rounds = {3};
+  st.terminated = 1;
+  const LaneVerification inside = verify_mis_planes(g, st.view(), 2, 6)[0];
+  EXPECT_EQ(inside.report.uncovered_nodes, 1u);  // node 2
+  EXPECT_EQ(inside.report.crashed, 0u);
+  EXPECT_EQ(inside.report.mis_size, 1u);
+  EXPECT_EQ(inside.report.independence_violations, 0u);
+  const VerificationReport whole = verify_mis_planes(g, st.view(), 0, 8)[0].report;
+  const VerificationReport want = verify_mis_run(g, sim::extract_lane_results(st.view())[0]);
+  EXPECT_EQ(whole.uncovered_nodes, want.uncovered_nodes);
+  EXPECT_EQ(whole.uncovered_nodes, 3u);  // nodes 0, 2 and 7
+  EXPECT_EQ(whole.crashed, want.crashed);
+  EXPECT_EQ(whole.mis_size, want.mis_size);
+
+  // The same on random planes: no crashed bit inside [150, 260), many
+  // around it; the merged ranges must still match the scalar verifier.
+  auto rng = support::Xoshiro256StarStar(0xc4a5);
+  const graph::Graph gnp = graph::gnp(400, 0.02, rng);
+  PlaneState random = random_planes(gnp, 64, 505);
+  std::size_t stale_outside = 0;  // range nodes next to a crashed stale member
+  for (graph::NodeId v = 150; v < 260; ++v) {
+    random.crashed[v] = 0;
+    for (const graph::NodeId w : gnp.neighbors(v)) {
+      if (w < 150 || w >= 260) stale_outside += (random.crashed[w] & random.inmis[w]) != 0;
+    }
+  }
+  EXPECT_GT(stale_outside, 0u);
+  expect_state_matches_scalar(gnp, random, {150, 260}, "crashes outside [150, 260)");
 }
 
 TEST(Verifier, PlaneVerifierRejectsMismatchedInput) {
