@@ -131,73 +131,85 @@ int main(int argc, char** argv) {
     double dense_ms = 0.0;
     double frontier_ms = 0.0;
   };
-
-  sim::BeepSimulator frontier_sim(g);  // scratch reused across every timed run
-  const auto measure = [&](std::size_t run_until) {
+  struct Timed {
+    sim::RunResult result;
+    double ms = 0.0;
+  };
+  const auto run_config = [&](std::size_t run_until) {
     sim::SimConfig config;
     config.run_until_round = run_until;
     config.max_rounds = kMaxRounds;
-    sim::DenseReferenceSimulator dense_sim(g, config);
-    mis::LocalFeedbackMis dense_protocol;
-    const sim::RunResult dense_result =
-        dense_sim.run_dense(dense_protocol, support::Xoshiro256StarStar(seed));
-    frontier_sim = sim::BeepSimulator(g, config);
+    return config;
+  };
+  // Each timer makes one untimed run (its result, and warm scratch) and
+  // then takes the best of `reps` identical runs.
+  const auto time_dense = [&](std::size_t run_until) {
+    sim::DenseReferenceSimulator dense_sim(g, run_config(run_until));
     mis::LocalFeedbackMis protocol;
-    const sim::RunResult frontier_result =
-        frontier_sim.run(protocol, support::Xoshiro256StarStar(seed));
-    // Same protocol stack, same RNG draw order: any divergence would make
-    // the timing comparison meaningless.
-    if (frontier_result.rounds != dense_result.rounds ||
-        frontier_result.total_beeps != dense_result.total_beeps ||
-        frontier_result.status != dense_result.status ||
-        frontier_result.beep_counts != dense_result.beep_counts) {
-      std::cerr << "FATAL: dense reference and frontier core diverged (rounds "
-                << dense_result.rounds << " vs " << frontier_result.rounds << ", beeps "
-                << dense_result.total_beeps << " vs " << frontier_result.total_beeps
-                << ")\n";
-      std::exit(1);
-    }
-    RunPair pair;
-    pair.checked = dense_result;
-    pair.dense_ms = best_wall_ms(reps, [&] {
+    Timed t{dense_sim.run_dense(protocol, support::Xoshiro256StarStar(seed))};
+    t.ms = best_wall_ms(reps, [&] {
       mis::LocalFeedbackMis p;
       (void)dense_sim.run_dense(p, support::Xoshiro256StarStar(seed));
     });
-    pair.frontier_ms = best_wall_ms(reps, [&] {
+    return t;
+  };
+  sim::BeepSimulator frontier_sim(g);  // scratch reused across every timed run
+  const auto time_frontier = [&](std::size_t run_until) {
+    frontier_sim = sim::BeepSimulator(g, run_config(run_until));
+    mis::LocalFeedbackMis protocol;
+    Timed t{frontier_sim.run(protocol, support::Xoshiro256StarStar(seed))};
+    t.ms = best_wall_ms(reps, [&] {
       mis::LocalFeedbackMis p;
       (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
     });
-    return pair;
+    return t;
+  };
+  const auto measure = [&](std::size_t run_until) {
+    const Timed dense = time_dense(run_until);
+    const Timed frontier = time_frontier(run_until);
+    // Same protocol stack, same RNG draw order: any divergence would make
+    // the timing comparison meaningless.
+    if (frontier.result.rounds != dense.result.rounds ||
+        frontier.result.total_beeps != dense.result.total_beeps ||
+        frontier.result.status != dense.result.status ||
+        frontier.result.beep_counts != dense.result.beep_counts) {
+      std::cerr << "FATAL: dense reference and frontier core diverged (rounds "
+                << dense.result.rounds << " vs " << frontier.result.rounds << ", beeps "
+                << dense.result.total_beeps << " vs " << frontier.result.total_beeps << ")\n";
+      std::exit(1);
+    }
+    return RunPair{dense.result, dense.ms, frontier.ms};
   };
 
   const RunPair converge = measure(0);
   const RunPair tail = measure(tail_rounds);
 
   // Tail-only cost per implementation: subtract the converge-only run from
-  // a tail run.  The frontier tail is orders of magnitude cheaper per
-  // exchange, so over tail_rounds alone it would vanish into the converge
-  // phase's timing noise; give the frontier a proportionally longer tail
-  // (frontier_tail_scale) so that *its own* tail cost dominates the
-  // subtraction too, and compare per-exchange rates rather than raw wall
-  // times.  Each row's wall_ms still refers to that row's own rounds.
-  const std::size_t dense_tail_only_rounds = tail.checked.rounds - converge.checked.rounds;
-  const double dense_tail_ms = std::max(1e-3, tail.dense_ms - converge.dense_ms);
+  // a longer tail run of that implementation, so that its own tail cost
+  // dominates the subtraction rather than the converge phase's timing
+  // noise, and compare per-exchange rates rather than raw wall times.  The
+  // frontier tail is orders of magnitude cheaper per exchange and gets a
+  // fixed proportionally longer tail (frontier_tail_scale).  The seed-dense
+  // tail costs Θ(n) per exchange, so at small n tail_rounds alone leaves
+  // it under a millisecond: its tail doubles until the tail-only time is
+  // at least the converge run's and at least kMinDenseTailMs, since
+  // best-of-reps timings on a shared host wander by tenths of a
+  // millisecond.  Each row's wall_ms still refers to that row's own rounds.
+  constexpr double kMinDenseTailMs = 5.0;
+  Timed dense_long{tail.checked, tail.dense_ms};
+  for (std::size_t rounds = tail_rounds;
+       rounds > 0 && 2 * rounds <= kMaxRounds &&
+       dense_long.ms - converge.dense_ms < std::max(converge.dense_ms, kMinDenseTailMs);) {
+    rounds *= 2;
+    dense_long = time_dense(rounds);
+  }
+  const std::size_t dense_tail_only_rounds = dense_long.result.rounds - converge.checked.rounds;
+  const double dense_tail_ms = std::max(1e-3, dense_long.ms - converge.dense_ms);
 
-  const std::size_t frontier_tail_target = tail_rounds * frontier_tail_scale;
-  sim::SimConfig long_config;
-  long_config.run_until_round = frontier_tail_target;
-  long_config.max_rounds = kMaxRounds;
-  frontier_sim = sim::BeepSimulator(g, long_config);
-  mis::LocalFeedbackMis warm_protocol;
-  const sim::RunResult long_result =
-      frontier_sim.run(warm_protocol, support::Xoshiro256StarStar(seed));
-  const double frontier_long_ms = best_wall_ms(reps, [&] {
-    mis::LocalFeedbackMis p;
-    (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
-  });
+  const Timed frontier_long = time_frontier(tail_rounds * frontier_tail_scale);
   const std::size_t frontier_tail_only_rounds =
-      long_result.rounds - converge.checked.rounds;
-  const double frontier_tail_ms = std::max(1e-3, frontier_long_ms - converge.frontier_ms);
+      frontier_long.result.rounds - converge.checked.rounds;
+  const double frontier_tail_ms = std::max(1e-3, frontier_long.ms - converge.frontier_ms);
 
   std::vector<Measurement> results;
   support::Table table(

@@ -1,17 +1,14 @@
 // Concrete experiment definitions for the paper's evaluation (Figures 3
-// and 5, the grid remark, the Theorem 1 family) plus the baseline,
-// robustness, loss and family comparisons.  Each function returns plain
-// row structs; exp/report renders them as tables, plots, CSV and growth
+// and 5, the grid remark, the Theorem 1 family).  Each function returns
+// plain row structs; exp/report renders them as tables, plots, CSV and growth
 // fits, and bench/bench_paper gates the paper's claims on them.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "mis/local_feedback.hpp"
 
 namespace beepmis::harness {
 
@@ -75,57 +72,5 @@ struct Theorem1Row {
 };
 [[nodiscard]] std::vector<Theorem1Row> theorem1_experiment(std::span<const std::size_t> ks,
                                                            const ExperimentConfig& config);
-
-/// All-baselines comparison: rounds and communication on a named family.
-struct ComparisonRow {
-  std::string family;
-  std::size_t n = 0;
-  double luby_rounds = 0, luby_rounds_stddev = 0;
-  double metivier_rounds = 0;
-  double greedy_id_rounds = 0;
-  double local_rounds = 0, local_rounds_stddev = 0;
-  double luby_message_bits = 0;      ///< mean total bits sent by Luby
-  double metivier_message_bits = 0;  ///< mean total bits (bitwise protocol)
-  double local_total_beeps = 0;      ///< mean total beeps (1-bit messages)
-};
-[[nodiscard]] std::vector<ComparisonRow> luby_comparison_experiment(
-    std::span<const std::size_t> ns, const ExperimentConfig& config);
-
-/// Robustness ablation (paper §6): vary feedback factor and initial p.
-struct RobustnessRow {
-  std::string label;
-  mis::LocalFeedbackConfig algo;
-  std::size_t n = 0;
-  double rounds_mean = 0, rounds_stddev = 0;
-  double beeps_mean = 0;
-  std::size_t valid = 0, trials = 0;
-};
-[[nodiscard]] std::vector<RobustnessRow> robustness_experiment(std::size_t n,
-                                                               const ExperimentConfig& config);
-
-/// Fault injection: beep-loss sweep for local feedback.
-struct FaultRow {
-  double loss = 0;
-  double rounds_mean = 0;
-  double valid_fraction = 0;       ///< trials ending in a valid MIS
-  double terminated_fraction = 0;  ///< trials that terminated at all
-  double independence_violations_per_trial = 0;
-  double uncovered_per_trial = 0;
-};
-[[nodiscard]] std::vector<FaultRow> fault_experiment(std::size_t n,
-                                                     std::span<const double> losses,
-                                                     const ExperimentConfig& config);
-
-/// Rounds + beeps for local feedback across graph families at a given n
-/// (ring, grid, tree, hypercube-ish, gnp dense/sparse, clique, star).
-struct FamilyRow {
-  std::string family;
-  std::size_t n = 0;
-  double rounds_mean = 0, rounds_stddev = 0;
-  double beeps_mean = 0;
-  double mis_size_mean = 0;
-};
-[[nodiscard]] std::vector<FamilyRow> family_experiment(std::size_t n,
-                                                       const ExperimentConfig& config);
 
 }  // namespace beepmis::harness

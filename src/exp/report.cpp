@@ -176,67 +176,6 @@ std::string theorem1_fit_report(std::span<const Theorem1Row> rows) {
   return out.str();
 }
 
-support::Table comparison_table(std::span<const ComparisonRow> rows) {
-  support::Table table({"family", "n", "luby rnds", "metivier rnds", "greedy-id rnds",
-                        "local rnds", "luby Kbits", "metivier Kbits", "local beeps"});
-  for (const ComparisonRow& r : rows) {
-    table.new_row()
-        .cell(r.family)
-        .cell(r.n)
-        .cell(r.luby_rounds)
-        .cell(r.metivier_rounds)
-        .cell(r.greedy_id_rounds)
-        .cell(r.local_rounds)
-        .cell(r.luby_message_bits / 1000.0, 1)
-        .cell(r.metivier_message_bits / 1000.0, 1)
-        .cell(r.local_total_beeps, 1);
-  }
-  return table;
-}
-
-support::Table robustness_table(std::span<const RobustnessRow> rows) {
-  support::Table table({"variant", "n", "rounds mean", "sd", "beeps/node", "valid"});
-  for (const RobustnessRow& r : rows) {
-    table.new_row()
-        .cell(r.label)
-        .cell(r.n)
-        .cell(r.rounds_mean)
-        .cell(r.rounds_stddev)
-        .cell(r.beeps_mean)
-        .cell(std::to_string(r.valid) + "/" + std::to_string(r.trials));
-  }
-  return table;
-}
-
-support::Table fault_table(std::span<const FaultRow> rows) {
-  support::Table table({"beep loss", "rounds mean", "terminated", "valid",
-                        "indep viol/trial", "uncovered/trial"});
-  for (const FaultRow& r : rows) {
-    table.new_row()
-        .cell(r.loss, 3)
-        .cell(r.rounds_mean)
-        .cell(r.terminated_fraction, 3)
-        .cell(r.valid_fraction, 3)
-        .cell(r.independence_violations_per_trial, 3)
-        .cell(r.uncovered_per_trial, 3);
-  }
-  return table;
-}
-
-support::Table family_table(std::span<const FamilyRow> rows) {
-  support::Table table({"family", "n", "rounds mean", "sd", "beeps/node", "MIS size"});
-  for (const FamilyRow& r : rows) {
-    table.new_row()
-        .cell(r.family)
-        .cell(r.n)
-        .cell(r.rounds_mean)
-        .cell(r.rounds_stddev)
-        .cell(r.beeps_mean)
-        .cell(r.mis_size_mean);
-  }
-  return table;
-}
-
 void print_with_csv(std::ostream& out, const support::Table& table) {
   table.print(out);
   out << "\ncsv:\n";

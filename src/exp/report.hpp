@@ -25,10 +25,6 @@ namespace beepmis::harness {
 [[nodiscard]] support::Table grid_beeps_table(std::span<const GridBeepsRow> rows);
 [[nodiscard]] support::Table theorem1_table(std::span<const Theorem1Row> rows);
 [[nodiscard]] std::string theorem1_fit_report(std::span<const Theorem1Row> rows);
-[[nodiscard]] support::Table comparison_table(std::span<const ComparisonRow> rows);
-[[nodiscard]] support::Table robustness_table(std::span<const RobustnessRow> rows);
-[[nodiscard]] support::Table fault_table(std::span<const FaultRow> rows);
-[[nodiscard]] support::Table family_table(std::span<const FamilyRow> rows);
 
 /// Prints a table plus its CSV twin separated by a blank line.
 void print_with_csv(std::ostream& out, const support::Table& table);

@@ -154,17 +154,8 @@ class AtomicFileWriter {
 /// (befriended by Graph; see graph.hpp).
 class MappedGraphFactory {
  public:
-  static Graph make(std::shared_ptr<const CsrMapping> mapping, NodeId node_count,
-                    const std::uint32_t* offsets32, const std::uint64_t* offsets64,
-                    const NodeId* adjacency, std::uint64_t adjacency_count) {
-    Graph g;
-    g.node_count_ = node_count;
-    g.mapping_ = std::move(mapping);
-    g.map_offsets32_ = offsets32;
-    g.map_offsets64_ = offsets64;
-    g.map_adjacency_ = adjacency;
-    g.map_adjacency_count_ = adjacency_count;
-    return g;
+  static Graph make(std::shared_ptr<const CsrMapping> mapping, const AdjacencyView& view) {
+    return Graph(std::move(mapping), view, true);
   }
 };
 
@@ -332,19 +323,18 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
                    " (truncated or trailing garbage)");
   }
 
-  const auto n = static_cast<NodeId>(node_count);
-  const std::uint32_t* offsets32 = nullptr;
-  const std::uint64_t* offsets64 = nullptr;
+  AdjacencyView view;
+  view.node_count = static_cast<NodeId>(node_count);
   if (wide) {
-    offsets64 = reinterpret_cast<const std::uint64_t*>(bytes + kHeaderSize);
+    view.offsets64 = reinterpret_cast<const std::uint64_t*>(bytes + kHeaderSize);
   } else {
-    offsets32 = reinterpret_cast<const std::uint32_t*>(bytes + kHeaderSize);
+    view.offsets32 = reinterpret_cast<const std::uint32_t*>(bytes + kHeaderSize);
   }
-  const auto* adjacency =
-      reinterpret_cast<const NodeId*>(bytes + kHeaderSize + offsets_bytes);
-  const auto off = [&](NodeId i) -> std::uint64_t {
-    return wide ? offsets64[i] : offsets32[i];
-  };
+  view.adjacency = reinterpret_cast<const NodeId*>(bytes + kHeaderSize + offsets_bytes);
+  view.adjacency_count = adjacency_count;
+  const NodeId n = view.node_count;
+  const NodeId* adjacency = view.adjacency;
+  const auto off = [&](NodeId i) { return view.offset(i); };
   if (off(0) != 0) fail(path, "offsets[0] != 0");
   for (NodeId v = 0; v < n; ++v) {
     if (off(v + 1) < off(v)) {
@@ -382,8 +372,7 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
     }
   }
 
-  return MappedGraphFactory::make(std::move(mapping), n, offsets32, offsets64, adjacency,
-                                  adjacency_count);
+  return MappedGraphFactory::make(std::move(mapping), view);
 }
 
 bool is_csr_file(const std::string& path) {

@@ -10,31 +10,6 @@
 
 namespace beepmis::graph {
 
-AdjacencyView Graph::view() const noexcept {
-  AdjacencyView v;
-  v.node_count = node_count_;
-  if (mapping_ == nullptr) {
-    if (wide_offsets_.empty()) {
-      v.offsets32 = offsets_.data();
-    } else {
-      // The wide in-RAM offsets are std::size_t; the view (like the file
-      // format) speaks uint64.  Identical representation on every platform
-      // this library's mmap tier supports.
-      static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                    "the memory-tiered CSR layer requires a 64-bit size_t");
-      v.offsets64 = reinterpret_cast<const std::uint64_t*>(wide_offsets_.data());
-    }
-    v.adjacency = adjacency_.data();
-    v.adjacency_count = adjacency_.size();
-  } else {
-    v.offsets32 = map_offsets32_;
-    v.offsets64 = map_offsets64_;
-    v.adjacency = map_adjacency_;
-    v.adjacency_count = map_adjacency_count_;
-  }
-  return v;
-}
-
 std::size_t Graph::max_degree() const noexcept {
   std::size_t best = 0;
   for (NodeId v = 0; v < node_count(); ++v) best = std::max(best, degree(v));
@@ -77,6 +52,14 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
 
 namespace {
 
+/// GraphBuilder's heap-owned CSR: exactly one of the offset vectors is
+/// filled, the other stays empty.
+struct CsrStorage {
+  std::vector<std::uint32_t> offsets32;
+  std::vector<std::uint64_t> offsets64;
+  std::vector<NodeId> adjacency;
+};
+
 /// Counting-sort CSR over `edges` in offset width Index; returns the n+1
 /// offsets and fills `adjacency`.  Degrees land two places right, so after
 /// the prefix sum offsets[v + 1] is row v's first slot, as fill_rows wants.
@@ -104,18 +87,23 @@ std::vector<Index> counting_sort_csr(NodeId n, const std::vector<Edge>& edges,
 Graph GraphBuilder::build() const {
   // Built in the width the pre-merge slot count needs, stored in the merged one.
   constexpr std::size_t kNarrow = std::numeric_limits<std::uint32_t>::max();
-  Graph g;
-  g.node_count_ = node_count_;
+  auto csr = std::make_shared<CsrStorage>();
   if (2 * edges_.size() <= kNarrow) {
-    g.offsets_ = counting_sort_csr<std::uint32_t>(node_count_, edges_, g.adjacency_);
+    csr->offsets32 = counting_sort_csr<std::uint32_t>(node_count_, edges_, csr->adjacency);
   } else {
-    g.wide_offsets_ = counting_sort_csr<std::size_t>(node_count_, edges_, g.adjacency_);
-    if (g.adjacency_.size() <= kNarrow) {
-      g.offsets_.assign(g.wide_offsets_.begin(), g.wide_offsets_.end());
-      std::vector<std::size_t>().swap(g.wide_offsets_);
+    csr->offsets64 = counting_sort_csr<std::uint64_t>(node_count_, edges_, csr->adjacency);
+    if (csr->adjacency.size() <= kNarrow) {
+      csr->offsets32.assign(csr->offsets64.begin(), csr->offsets64.end());
+      std::vector<std::uint64_t>().swap(csr->offsets64);
     }
   }
-  return g;
+  AdjacencyView view;
+  view.node_count = node_count_;
+  view.offsets32 = csr->offsets32.empty() ? nullptr : csr->offsets32.data();
+  view.offsets64 = csr->offsets64.empty() ? nullptr : csr->offsets64.data();
+  view.adjacency = csr->adjacency.data();
+  view.adjacency_count = csr->adjacency.size();
+  return Graph(std::move(csr), view, false);
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {

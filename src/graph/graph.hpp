@@ -40,7 +40,7 @@ class GraphBuilder;
 /// (src/graph/README.md): the on-disk CSR writer (csr_file.hpp) consumes a
 /// view, so it serialises an in-RAM and a memory-mapped graph identically,
 /// and differential tests compare tiers element-by-element through it.
-/// Non-owning — valid only while the Graph (or mapping) it came from lives.
+/// Non-owning — valid only while the Graph it came from, or a copy, lives.
 struct AdjacencyView {
   NodeId node_count = 0;
   const std::uint32_t* offsets32 = nullptr;  ///< (n+1) narrow offsets, or
@@ -68,59 +68,52 @@ struct AdjacencyView {
 /// predicted (one representation per graph), so the common case pays only
 /// the smaller cache footprint.
 ///
-/// Storage tiers: besides the in-RAM vectors filled by GraphBuilder, a
-/// Graph can be backed by a read-only memory-mapped on-disk CSR file
-/// (graph/csr_file.hpp's load_csr_file).  The accessors branch once per
-/// call on the backend — one representation per graph, perfectly
-/// predicted — so every simulator runs unmodified against either tier.
-/// Copies of a mapped Graph share the mapping (shared_ptr keep-alive);
-/// the mapping is released when the last copy goes away.
+/// One representation for every storage tier: an AdjacencyView into
+/// immutable storage plus an opaque keep-alive of that storage — the
+/// heap block GraphBuilder fills, or the read-only mapping of an on-disk
+/// CSR file (graph/csr_file.hpp's load_csr_file).  No accessor branches
+/// on the tier, so every simulator runs unmodified against either.
+/// Copies share the storage (O(1), a refcount bump), and the storage is
+/// released when the last copy goes away; a moved-from Graph is empty.
 class Graph {
  public:
   Graph() = default;
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
+  Graph(Graph&& other) noexcept
+      : storage_(std::move(other.storage_)),
+        view_(std::exchange(other.view_, {})),
+        mapped_(std::exchange(other.mapped_, false)) {}
+  Graph& operator=(Graph&& other) noexcept {
+    storage_ = std::move(other.storage_);
+    view_ = std::exchange(other.view_, {});
+    mapped_ = std::exchange(other.mapped_, false);
+    return *this;
+  }
 
-  [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
+  [[nodiscard]] NodeId node_count() const noexcept { return view_.node_count; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return adjacency_size() / 2; }
 
-  /// Length of the concatenated adjacency array (== 2m), whichever backend
-  /// holds it.
+  /// Length of the concatenated adjacency array (== 2m).
   [[nodiscard]] std::size_t adjacency_size() const noexcept {
-    return mapping_ == nullptr ? adjacency_.size()
-                               : static_cast<std::size_t>(map_adjacency_count_);
+    return static_cast<std::size_t>(view_.adjacency_count);
   }
 
   /// Whether this graph reads from a memory-mapped on-disk CSR file.
-  [[nodiscard]] bool memory_mapped() const noexcept { return mapping_ != nullptr; }
+  [[nodiscard]] bool memory_mapped() const noexcept { return mapped_; }
 
   /// Sorted neighbours of `v`.  Precondition: v < node_count().
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const noexcept {
-    if (mapping_ == nullptr) [[likely]] {
-      if (wide_offsets_.empty()) [[likely]] {
-        return {adjacency_.data() + offsets_[v], adjacency_.data() + offsets_[v + 1]};
-      }
-      return {adjacency_.data() + wide_offsets_[v], adjacency_.data() + wide_offsets_[v + 1]};
-    }
-    if (map_offsets32_ != nullptr) {
-      return {map_adjacency_ + map_offsets32_[v], map_adjacency_ + map_offsets32_[v + 1]};
-    }
-    return {map_adjacency_ + map_offsets64_[v], map_adjacency_ + map_offsets64_[v + 1]};
+    return view_.neighbors(v);
   }
 
   [[nodiscard]] std::size_t degree(NodeId v) const noexcept {
-    if (mapping_ == nullptr) [[likely]] {
-      if (wide_offsets_.empty()) [[likely]] {
-        return offsets_[v + 1] - offsets_[v];
-      }
-      return wide_offsets_[v + 1] - wide_offsets_[v];
-    }
-    if (map_offsets32_ != nullptr) {
-      return map_offsets32_[v + 1] - map_offsets32_[v];
-    }
-    return static_cast<std::size_t>(map_offsets64_[v + 1] - map_offsets64_[v]);
+    return static_cast<std::size_t>(view_.offset(v + 1) - view_.offset(v));
   }
 
-  /// Uniform read view of the active backend (see AdjacencyView).
-  [[nodiscard]] AdjacencyView view() const noexcept;
+  /// Read view of the storage (see AdjacencyView); valid while this Graph
+  /// or any copy of it lives.
+  [[nodiscard]] AdjacencyView view() const noexcept { return view_; }
 
   [[nodiscard]] std::size_t max_degree() const noexcept;
   [[nodiscard]] double mean_degree() const noexcept;
@@ -138,23 +131,12 @@ class Graph {
   friend class GraphBuilder;
   friend class MappedGraphFactory;  ///< csr_file.cpp's loader seam
 
-  NodeId node_count_ = 0;
-  /// Size n+1; offsets_[v]..offsets_[v+1] delimit v's slice of adjacency_.
-  /// Empty iff wide_offsets_ is engaged (adjacency beyond 32-bit range) or
-  /// the graph is memory-mapped.
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::size_t> wide_offsets_;  ///< 64-bit fallback, usually empty
-  std::vector<NodeId> adjacency_;          ///< concatenated sorted neighbour lists
+  Graph(std::shared_ptr<const void> storage, AdjacencyView view, bool mapped) noexcept
+      : storage_(std::move(storage)), view_(view), mapped_(mapped) {}
 
-  /// Memory-mapped backend: an opaque keep-alive of the mapped region (a
-  /// csr_file.cpp CsrMapping) plus raw pointers into it.  The pointers
-  /// never point into this object's own vectors, so default copy/move keep
-  /// them valid — copies just share the mapping.
-  std::shared_ptr<const void> mapping_;
-  const std::uint32_t* map_offsets32_ = nullptr;
-  const std::uint64_t* map_offsets64_ = nullptr;
-  const NodeId* map_adjacency_ = nullptr;
-  std::uint64_t map_adjacency_count_ = 0;
+  std::shared_ptr<const void> storage_;  ///< keeps view_'s arrays alive
+  AdjacencyView view_;
+  bool mapped_ = false;
 };
 
 /// Mutable edge accumulator that produces an immutable Graph.

@@ -126,6 +126,26 @@ TEST(CsrFile, CopiesOutliveTheLoadingGraph) {
   expect_same_graph(ring(64), copy);
 }
 
+TEST(CsrFile, CopiesShareTheMappingAndMovesEmptyTheSource) {
+  const std::string path = tmp_path("share.bmcsr");
+  write_csr_file(ring(64), path);
+  Graph loaded = load_csr_file(path);
+  std::filesystem::remove(path);
+
+  const Graph copy = loaded;
+  EXPECT_TRUE(copy.memory_mapped());
+  EXPECT_EQ(copy.view().adjacency, loaded.view().adjacency);
+  EXPECT_EQ(copy.view().offsets32, loaded.view().offsets32);
+
+  const Graph moved = std::move(loaded);
+  EXPECT_TRUE(moved.memory_mapped());
+  EXPECT_EQ(moved.view().adjacency, copy.view().adjacency);
+  EXPECT_FALSE(loaded.memory_mapped());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(loaded.node_count(), 0u);
+  EXPECT_EQ(loaded.view().adjacency, nullptr);
+  expect_same_graph(ring(64), moved);
+}
+
 TEST(CsrFile, RewritingAMappedGraphIsByteIdentical) {
   const std::string path_a = tmp_path("rewrite_a.bmcsr");
   const std::string path_b = tmp_path("rewrite_b.bmcsr");

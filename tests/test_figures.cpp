@@ -113,48 +113,6 @@ TEST(Theorem1Experiment, GlobalSlowerThanLocalOnCliqueFamily) {
   EXPECT_NE(theorem1_fit_report(rows).find("Theorem 1"), std::string::npos);
 }
 
-TEST(LubyComparison, BothAlgorithmsMeasured) {
-  const std::vector<std::size_t> ns{30, 60};
-  const auto rows = luby_comparison_experiment(ns, fast_config());
-  ASSERT_EQ(rows.size(), 2u);
-  for (const auto& row : rows) {
-    EXPECT_GT(row.luby_rounds, 0.0);
-    EXPECT_GT(row.local_rounds, 0.0);
-    EXPECT_GT(row.luby_message_bits, 0.0);
-    EXPECT_GT(row.local_total_beeps, 0.0);
-  }
-  EXPECT_EQ(comparison_table(rows).rows(), 2u);
-}
-
-TEST(Robustness, AllVariantsValid) {
-  const auto rows = robustness_experiment(40, fast_config());
-  EXPECT_GE(rows.size(), 7u);
-  for (const auto& row : rows) {
-    EXPECT_EQ(row.valid, row.trials) << row.label;
-    EXPECT_GT(row.rounds_mean, 0.0);
-  }
-  EXPECT_EQ(robustness_table(rows).rows(), rows.size());
-}
-
-TEST(FaultExperiment, LossDegradesValidity) {
-  const std::vector<double> losses{0.0, 0.3};
-  const auto rows = fault_experiment(40, losses, fast_config());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].valid_fraction, 1.0);
-  EXPECT_LE(rows[1].valid_fraction, rows[0].valid_fraction);
-  EXPECT_EQ(fault_table(rows).rows(), 2u);
-}
-
-TEST(FamilyExperiment, CoversFamiliesWithValidStats) {
-  const auto rows = family_experiment(36, fast_config());
-  EXPECT_GE(rows.size(), 8u);
-  for (const auto& row : rows) {
-    EXPECT_GT(row.rounds_mean, 0.0) << row.family;
-    EXPECT_GT(row.mis_size_mean, 0.0) << row.family;
-  }
-  EXPECT_EQ(family_table(rows).rows(), rows.size());
-}
-
 TEST(PrintWithCsv, EmitsBothRenderings) {
   support::Table table({"a"});
   table.new_row().cell("x");

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -157,6 +158,57 @@ TEST(GraphBuilder, EmptyGraph) {
   const Graph g = GraphBuilder(0).build();
   EXPECT_EQ(g.node_count(), 0u);
   EXPECT_EQ(g.edge_count(), 0u);
+}
+
+TEST(Graph, DefaultGraphIsEmpty) {
+  const Graph g;
+  EXPECT_EQ(g.node_count(), 0u);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.max_degree(), 0u);
+  EXPECT_TRUE(g.edges().empty());
+  EXPECT_FALSE(g.memory_mapped());
+  EXPECT_EQ(g.view().adjacency, nullptr);
+}
+
+TEST(Graph, CopiesShareStorageAndOutliveTheOriginal) {
+  auto rng = support::Xoshiro256StarStar(5);
+  auto original = std::make_unique<Graph>(gnp(300, 0.05, rng));
+  const std::vector<Edge> edges = original->edges();
+  ASSERT_FALSE(edges.empty());
+  Graph copy;
+  copy = *original;
+  const Graph constructed(*original);
+  for (const Graph* g : {static_cast<const Graph*>(&copy), &constructed}) {
+    EXPECT_EQ(g->view().adjacency, original->view().adjacency);
+    EXPECT_EQ(g->view().offsets32, original->view().offsets32);
+  }
+  original.reset();  // the copies alone keep the storage alive
+  EXPECT_EQ(copy.edges(), edges);
+  EXPECT_EQ(constructed.edges(), edges);
+}
+
+TEST(Graph, MovedFromGraphIsEmpty) {
+  Graph source = GraphBuilder(3).add_edge(0, 1).add_edge(1, 2).build();
+  const NodeId* adjacency = source.view().adjacency;
+  const auto expect_empty = [](const Graph& g) {
+    EXPECT_EQ(g.node_count(), 0u);
+    EXPECT_EQ(g.edge_count(), 0u);
+    const AdjacencyView view = g.view();
+    EXPECT_EQ(view.offsets32, nullptr);
+    EXPECT_EQ(view.offsets64, nullptr);
+    EXPECT_EQ(view.adjacency, nullptr);
+    EXPECT_EQ(view.adjacency_count, 0u);
+  };
+
+  Graph constructed(std::move(source));
+  expect_empty(source);  // NOLINT(bugprone-use-after-move): the state is the contract
+  EXPECT_EQ(constructed.view().adjacency, adjacency);
+
+  Graph assigned;
+  assigned = std::move(constructed);
+  expect_empty(constructed);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.view().adjacency, adjacency);
+  EXPECT_EQ(assigned.edges(), (std::vector<Edge>{{0, 1}, {1, 2}}));
 }
 
 TEST(GraphBuilder, NodesWithoutEdges) {

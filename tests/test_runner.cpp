@@ -442,5 +442,25 @@ TEST(Runner, PlanSweepRoutesEveryRow) {
             sim::UniformRandomCrash({0.1}).materialize_crash_rounds(*plan.graph));
 }
 
+// A factory that hands back the caller's graph (as the CLI and the perfbench
+// driver do) must not cost the sweep a second CSR: the plan's trial-0 graph
+// shares the caller's storage on every route that reads it.
+TEST(Runner, SharedGraphSweepKeepsOneCsr) {
+  auto rng = support::Xoshiro256StarStar(7);
+  const graph::Graph g = graph::gnp(200, 0.05, rng);
+  const GraphFactory graphs = [g](support::Xoshiro256StarStar&) { return g; };
+  for (const bool batched : {true, false}) {
+    TrialConfig config;
+    config.trials = 130;
+    config.threads = 2;
+    config.shared_graph = true;
+    config.allow_batched = batched;
+    const SweepPlan plan = plan_sweep(graphs, local_feedback(), config);
+    EXPECT_EQ(plan.engine, batched ? SweepPlan::Engine::kPlanes : SweepPlan::Engine::kScalar);
+    ASSERT_NE(plan.graph, nullptr);
+    EXPECT_EQ(plan.graph->view().adjacency, g.view().adjacency) << "batched=" << batched;
+  }
+}
+
 }  // namespace
 }  // namespace beepmis::harness
